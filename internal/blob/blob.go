@@ -124,7 +124,8 @@
 // copy to owners missing a replica, delete from holders that lost
 // ownership — so recovery always lands on a placement the system could
 // have reached, never a half-remembered sweep position. Checkpoints re-log
-// an open intent before resetting the lanes, so compaction cannot lose it.
+// an open intent as the first record of the compacted migration lane, so
+// compaction cannot lose it.
 //
 // The epoch flip is atomic with respect to foreground ops. Ops hold
 // Store.member shared for their duration; the ring mutation takes it
@@ -170,6 +171,8 @@
 package blob
 
 import (
+	"bytes"
+	"cmp"
 	"fmt"
 	"sort"
 	"strings"
@@ -296,10 +299,13 @@ type chunkID struct {
 	idx int64
 }
 
-// less orders chunk IDs by (key, idx) — the total order checkpoint
+// compare orders chunk IDs by (key, idx) — the total order checkpoint
 // streaming uses so one seed always writes one log.
-func (c chunkID) less(o chunkID) bool {
-	return c.key < o.key || (c.key == o.key && c.idx < o.idx)
+func (c chunkID) compare(o chunkID) int {
+	if r := strings.Compare(c.key, o.key); r != 0 {
+		return r
+	}
+	return cmp.Compare(c.idx, o.idx)
 }
 
 // ringHash returns the chunk's placement hash, streamed through the ring's
@@ -423,6 +429,14 @@ type Store struct {
 	// re-log it and Recover can roll the migration forward once no server
 	// is left wiped.
 	migIntent atomic.Pointer[migrationIntent]
+	// ckptMu serializes checkpoints, which share ckpt: one server's
+	// checkpoint records and staging, one entry per WAL lane, kept
+	// between checkpoints so a steady cycle reuses them. ckptCounts holds
+	// the per-lane record counts that fix each lane's key range
+	// (recovery.go).
+	ckptMu     sync.Mutex
+	ckpt       []ckptLane
+	ckptCounts []int
 	// migBatchHook, when set, runs on the migration caller after each
 	// batch commits — the seam the crash sweep uses to capture
 	// batch-boundary media and to interleave foreground 2PC load. Seeded
@@ -487,8 +501,8 @@ type server struct {
 	// helpers can maintain it without a back-pointer to the Store.
 	repairPending *atomic.Int64
 	// migIntent points at the store-wide open-migration pointer so the
-	// checkpoint planner (which only sees the server) can re-log an open
-	// RecMigrateBegin before ResetAll drops it from the lanes.
+	// checkpoint (which only sees the server) can re-log an open
+	// RecMigrateBegin after the reset drops it from the lanes.
 	migIntent *atomic.Pointer[migrationIntent]
 }
 
@@ -525,6 +539,26 @@ func (sv *server) copyChunk(h uint64, id chunkID) ([]byte, uint64, bool) {
 		return nil, 0, false
 	}
 	return append([]byte(nil), data...), st.ver[id], true
+}
+
+// copyChunkInto appends the chunk's bytes to dst (empty when the server
+// does not hold the chunk) and returns them with the chunk's version,
+// copied under the stripe read lock.
+func (sv *server) copyChunkInto(dst []byte, h uint64, id chunkID) ([]byte, uint64) {
+	st := sv.stripe(h)
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	return append(dst, st.m[id]...), st.ver[id]
+}
+
+// chunkMatches returns the chunk's version and whether its bytes equal
+// ref, compared in place under the stripe read lock. A chunk the server
+// does not hold has version 0 and matches an empty ref.
+func (sv *server) chunkMatches(h uint64, id chunkID, ref []byte) (ver uint64, same bool) {
+	st := sv.stripe(h)
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	return st.ver[id], bytes.Equal(st.m[id], ref)
 }
 
 // chunkVer reads the chunk's version (0 when the server does not hold it).
@@ -578,14 +612,18 @@ func (sv *server) trimChunk(h uint64, id chunkID, keep int64) {
 	st.mu.Unlock()
 }
 
+// len counts the stripe's chunk replicas.
+func (st *chunkStripe) len() int {
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	return len(st.m)
+}
+
 // chunkCount sums the stripes.
 func (sv *server) chunkCount() int {
 	n := 0
 	for i := range sv.stripes {
-		st := &sv.stripes[i]
-		st.mu.RLock()
-		n += len(st.m)
-		st.mu.RUnlock()
+		n += sv.stripes[i].len()
 	}
 	return n
 }

@@ -68,7 +68,7 @@
 //
 // The crash-recovery pipeline (recoverfeed.go) and the per-lane
 // checkpoint (recovery.go) ride this same pool, under the same rules,
-// with three stage-specific latch obligations:
+// with these stage-specific obligations:
 //
 //   - Lane-decode jobs are one-shot and non-blocking: each decodes a
 //     bounded batch from a private medium snapshot and signals a
@@ -80,16 +80,28 @@
 //     chunk-scatter parallelDo).
 //     (enforced: blobvet/workerlatch — laneFeed.run is a task root and
 //     laneFeed.Next is a pool wait)
-//   - Per-lane checkpoint jobs append only to their own lane's private
-//     Log/Buffer through the pooled header staging; they take no
-//     latch-class lock and never wait on the pool. The state snapshot
-//     (descriptor sizes under sv.mu, chunk slices under the stripe locks)
-//     is taken by the caller BEFORE the jobs are spawned.
+//   - A checkpoint rewrites one server at a time in four stages. The
+//     caller buckets the server's descriptors by lane under sv.mu. One
+//     pool job per lane then snapshots that lane's chunks and debts,
+//     holding one feeding stripe's read lock at a time, and sorts the
+//     lane's records. The caller resets the lanes with the key ranges the
+//     record counts fix, and one pool job per lane streams the lane to its
+//     own private Log/Buffer in AppendNV batches through the store's
+//     per-lane staging. The jobs take no latch-class lock and never wait
+//     on the pool. Across both pool waits the caller holds only the
+//     store's checkpoint mutex, which no task takes.
 //     (enforced: blobvet/workerlatch for the latch and wait half;
-//     blobvet/walappend keeps checkpointLane the only direct lane writer)
+//     blobvet/stripelock for one stripe lock at a time; blobvet/walappend
+//     keeps checkpointLane the only direct lane writer)
+//   - The compacted log is byte-identical across runs: each job sorts
+//     the records its map walks collected before any of them is appended,
+//     and each lane's order keys come from its reserved range rather than
+//     from whichever job reaches the shared counter first.
+//     (enforced: blobvet/virtualtime flags a map walk reaching an append
+//     unsorted; the key ranges are pinned by TestCheckpointDeterministic)
 //   - parallelDo must not be called from a worker, so multi-stage sweeps
-//     fan out FLAT: CheckpointAll expands to (server, lane) jobs at the
-//     caller instead of nesting a per-server parallelDo inside a pool
+//     fan out FLAT: CheckpointAll runs every server's pool stages from
+//     the caller instead of nesting a per-server parallelDo inside a pool
 //     task, which on a saturated pool would deadlock (every worker
 //     blocked in a nested wait, every nested job stuck in the queue).
 //     (enforced: blobvet/workerlatch — parallelDo is a flagged pool wait
@@ -186,6 +198,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/cluster"
@@ -207,8 +220,9 @@ const dispatchQueueLen = 256
 type runnable interface{ run() }
 
 var (
-	dispatchOnce sync.Once
-	dispatchCh   chan runnable
+	dispatchOnce    sync.Once
+	dispatchCh      chan runnable
+	dispatchWorkers int
 )
 
 // dispatchPool lazily starts the shared worker pool and returns its queue.
@@ -222,6 +236,7 @@ func dispatchPool() chan runnable {
 			n = maxDispatchWorkers
 		}
 		dispatchCh = make(chan runnable, dispatchQueueLen)
+		dispatchWorkers = n
 		for i := 0; i < n; i++ {
 			go func() {
 				for t := range dispatchCh {
@@ -235,35 +250,48 @@ func dispatchPool() chan runnable {
 
 // parallelDo runs fn(0..n-1) across the worker pool and waits for all of
 // them. It is for clock-free bulk state manipulation (recovery chunk
-// reinsertion, checkpoint sweeps); fan tasks with cost accounting go
+// reinsertion, checkpoint stages); fan tasks with cost accounting go
 // through ctxFan. Must not be called from a worker (it blocks).
+//
+// The indices are claimed, not queued one by one: one shared job is
+// offered to at most one worker per pool goroutine, and the caller claims
+// indices too, so a call costs the same few allocations whatever n is, and
+// a full queue or a busy pool only means the caller does more of the work.
 func parallelDo(n int, fn func(int)) {
 	if n <= 0 {
 		return
 	}
-	var wg sync.WaitGroup
-	wg.Add(n)
+	j := &funcJob{n: int64(n), fn: fn}
+	j.wg.Add(n)
 	ch := dispatchPool()
-	for i := 0; i < n; i++ {
-		j := &funcJob{wg: &wg, i: i, fn: fn}
+offer:
+	for k := min(n-1, dispatchWorkers); k > 0; k-- {
 		select {
 		case ch <- j:
 		default:
-			j.run()
+			break offer // queue full: the caller claims what no worker does
 		}
 	}
-	wg.Wait()
+	j.run()
+	j.wg.Wait()
 }
 
+// funcJob is one parallelDo call: every runner claims indices until none
+// are left. wg counts unfinished indices, not runners, so the caller
+// returns as soon as the last index is done even if a queued runner has
+// not started yet (it will find nothing to claim).
 type funcJob struct {
-	wg *sync.WaitGroup
-	i  int
-	fn func(int)
+	next atomic.Int64
+	n    int64
+	fn   func(int)
+	wg   sync.WaitGroup
 }
 
 func (j *funcJob) run() {
-	defer j.wg.Done()
-	j.fn(j.i)
+	for i := j.next.Add(1) - 1; i < j.n; i = j.next.Add(1) - 1 {
+		j.fn(int(i))
+		j.wg.Done()
+	}
 }
 
 // ---- cost ledgers ----

@@ -2,7 +2,9 @@ package blob
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
 	"repro/internal/cluster"
 	"repro/internal/storage"
@@ -397,23 +399,54 @@ func (s *Store) anyWiped() bool {
 	return false
 }
 
-// ckptLane is one lane's share of a checkpoint snapshot: the descriptor
-// and chunk records whose natural lane (descriptor ring hash, chunk
-// placement hash) is this lane, collected so the lane can be re-encoded
-// against its own medium independently of every other lane.
+// ckptBatchBytes and ckptBatchRecords bound one checkpoint append. The
+// lane writer streams its records in AppendNV batches of at most about
+// this many bytes and records: large enough that the lane lock, the flush
+// and the medium write are paid once per hundred small records, small
+// enough that a batch's chunk bytes are still in cache when the CRC pass
+// and the copy to the medium read them, and that the per-lane staging the
+// store keeps between checkpoints stays tens of kilobytes even for
+// header-only descriptor records.
+const (
+	ckptBatchBytes   = 128 << 10
+	ckptBatchRecords = 256
+	// ckptRecOverhead is a record's WAL framing, counted in batch sizes.
+	ckptRecOverhead = 17
+)
+
+// ckptLane is one lane's share of a server's checkpoint: the descriptor,
+// chunk and debt records whose natural lane (descriptor ring hash, chunk
+// placement hash) is this lane, plus the staging its writer encodes them
+// through. The store keeps one per lane between checkpoints (Store.ckpt)
+// and every stage truncates rather than reallocates, so a steady
+// checkpoint cycle reuses the same backing arrays.
 type ckptLane struct {
 	metas  []ckptMeta
 	chunks []ckptChunk
 	debts  []ckptDebt
 	// intent, set only on the migration lane, re-logs an open migration
-	// intent: the checkpoint's ResetAll would otherwise drop the
+	// intent: the checkpoint's reset would otherwise drop the
 	// RecMigrateBegin record, and a crash after the checkpoint could no
 	// longer roll the interrupted migration forward.
 	intent *migrationIntent
+
+	// hdrs holds the current batch's record headers back to back; ends[i]
+	// is where record i's header ends in it. specs is the batch handed to
+	// AppendNV, its headers sliced out of hdrs once the batch is complete
+	// (hdrs may move while it grows).
+	hdrs  []byte
+	ends  []int
+	specs []wal.AppendVSpec
 }
 
-func (l *ckptLane) empty() bool {
-	return len(l.metas) == 0 && len(l.chunks) == 0 && len(l.debts) == 0 && l.intent == nil
+// records counts the lane's checkpoint records: the key range the lane
+// reserves (wal.MultiLog.ResetAllRanges).
+func (l *ckptLane) records() int {
+	n := len(l.metas) + len(l.chunks) + len(l.debts)
+	if l.intent != nil {
+		n++
+	}
+	return n
 }
 
 type ckptMeta struct {
@@ -432,158 +465,242 @@ type ckptDebt struct {
 	mask uint64
 }
 
-// checkpointPlan snapshots sv's volatile state into per-lane record lists
-// and resets the lane log (content dropped, order keys restarted at 1 —
-// the snapshot is a fresh logical history, and merged replay's
-// consecutive-from-1 invariant is what detects a wholly-torn lane).
-// Returns nil for a down server: its volatile state is empty and its WAL
-// is the only recovery source — checkpointing it would snapshot nothing
-// and discard that source, silent data loss.
-//
-// The plan holds live chunk slices by reference; the quiescence the
-// checkpoint requires (no concurrent mutations, the Crash/Recover
-// discipline) is what keeps them stable until the lane writers have
-// streamed them out.
-func (sv *server) checkpointPlan() []ckptLane {
-	sv.mu.Lock()
+// stripeFeedsLane reports whether chunk stripe si can hold chunks whose
+// log lane is lane, and whether every chunk in the stripe belongs to that
+// lane. Both select on the same placement-hash bits (the stripe on the
+// low four of h>>32, the lane on h>>32 modulo the lane count), so with a
+// lane count dividing the stripe count each stripe feeds exactly one lane
+// — the default 16 lanes pair stripe i with lane i — and a lane job reads
+// only its own stripes. With any other lane count every stripe is read
+// and filtered by the chunk's lane.
+func stripeFeedsLane(si, lane, lanes int) (feeds, whole bool) {
+	if chunkStripes%lanes != 0 {
+		return true, false
+	}
+	feeds = si%lanes == lane
+	return feeds, feeds
+}
+
+// checkpointBegin is the caller's stage for sv: it buckets the
+// descriptors into ck, one entry per lane, under sv.mu, and reports
+// whether sv takes part. A down server does not: its volatile state is
+// empty and its WAL is the only recovery source — checkpointing it would
+// snapshot nothing and discard that source, silent data loss.
+func (sv *server) checkpointBegin(ck []ckptLane) bool {
+	sv.mu.RLock()
+	defer sv.mu.RUnlock()
 	if sv.down {
-		sv.mu.Unlock()
-		return nil
+		return false
 	}
-	plan := make([]ckptLane, sv.wal.Lanes())
-	// Iterate descriptors in sorted key order: checkpoint records are an
-	// ordered WAL history, so letting map order pick the record sequence
-	// would make two runs of one seed write different logs.
-	keys := make([]string, 0, len(sv.blobs))
-	for key := range sv.blobs {
-		keys = append(keys, key)
+	// Size the buckets for an even spread plus headroom, so appends
+	// rarely grow them and a grown bucket is not left at twice its need.
+	want := len(sv.blobs) / len(ck)
+	want += want/8 + 16
+	for i := range ck {
+		l := &ck[i]
+		if cap(l.metas) < want {
+			l.metas = make([]ckptMeta, 0, want)
+		}
+		l.metas = l.metas[:0]
 	}
-	sort.Strings(keys)
-	for _, key := range keys {
-		lane := sv.metaLane(key)
-		plan[lane].metas = append(plan[lane].metas, ckptMeta{key, sv.blobs[key].size})
+	for key, d := range sv.blobs {
+		l := &ck[sv.metaLane(key)]
+		//blobvet:allow virtualtime each lane's metas are sorted in checkpointSnapshot before checkpointLane appends them
+		l.metas = append(l.metas, ckptMeta{key, d.size})
 	}
-	sv.mu.Unlock()
-	sv.forEachChunk(func(id chunkID, data []byte, ver uint64) {
-		lane := sv.chunkLane(id.ringHash())
-		plan[lane].chunks = append(plan[lane].chunks, ckptChunk{id, ver, data})
-	})
-	// Outstanding repair debt must survive the compaction: re-log each
-	// chunk's current mask so a crash between checkpoint and repair still
-	// recovers knowing which replicas owe copies.
-	sv.forEachDebt(func(id chunkID, mask uint64) {
-		lane := sv.chunkLane(id.ringHash())
-		plan[lane].debts = append(plan[lane].debts, ckptDebt{id, mask})
-	})
+	return true
+}
+
+// checkpointSnapshot is the first pool stage, one job per lane: it
+// collects the lane's chunk replicas and debts into l from the stripes
+// that feed the lane, and puts the lane's records in (key, idx) order —
+// the stripes are maps, and their iteration order must not pick the log's
+// record sequence.
+//
+// The snapshot holds live chunk slices by reference; the quiescence the
+// checkpoint requires (no concurrent mutations, the Crash/Recover
+// discipline) is what keeps them stable until checkpointLane has streamed
+// them out.
+func (sv *server) checkpointSnapshot(lane int, l *ckptLane) {
+	lanes := sv.wal.Lanes()
+	// The list stays allocated between checkpoints, so size it to the
+	// feeding stripes plus headroom instead of letting appends double it.
+	need := 0
+	for si := range sv.stripes {
+		if feeds, _ := stripeFeedsLane(si, lane, lanes); feeds {
+			need += sv.stripes[si].len()
+		}
+	}
+	if need > cap(l.chunks) {
+		l.chunks = make([]ckptChunk, 0, need+need/8)
+	}
+	l.chunks, l.debts = l.chunks[:0], l.debts[:0]
+	for si := range sv.stripes {
+		feeds, whole := stripeFeedsLane(si, lane, lanes)
+		if !feeds {
+			continue
+		}
+		st := &sv.stripes[si]
+		st.mu.RLock()
+		for id, data := range st.m {
+			if whole || sv.chunkLane(id.ringHash()) == lane {
+				l.chunks = append(l.chunks, ckptChunk{id, st.ver[id], data})
+			}
+		}
+		// Outstanding repair debt must survive the compaction: re-log each
+		// chunk's current mask so a crash between checkpoint and repair
+		// still recovers knowing which replicas owe copies.
+		for id, mask := range st.debt {
+			if whole || sv.chunkLane(id.ringHash()) == lane {
+				l.debts = append(l.debts, ckptDebt{id, mask})
+			}
+		}
+		st.mu.RUnlock()
+	}
+	slices.SortFunc(l.metas, func(a, b ckptMeta) int { return strings.Compare(a.key, b.key) })
+	slices.SortFunc(l.chunks, func(a, b ckptChunk) int { return a.id.compare(b.id) })
+	slices.SortFunc(l.debts, func(a, b ckptDebt) int { return a.id.compare(b.id) })
 	// An open migration intent is part of the durable state the snapshot
 	// must carry forward (batch buffers need not be: a checkpoint requires
 	// quiescence, so no batch is torn open at this point — the chunk table
 	// already reflects every committed batch).
-	if intent := sv.migIntent.Load(); intent != nil {
-		plan[migLane].intent = intent
+	l.intent = nil
+	if lane == migLane {
+		l.intent = sv.migIntent.Load()
 	}
-	// The stripe walks above run in map order; restore a total order so
-	// the streamed lane records are byte-identical across runs.
-	for i := range plan {
-		l := &plan[i]
-		sort.Slice(l.chunks, func(a, b int) bool { return l.chunks[a].id.less(l.chunks[b].id) })
-		sort.Slice(l.debts, func(a, b int) bool { return l.debts[a].id.less(l.debts[b].id) })
-	}
-	sv.wal.ResetAll()
-	return plan
 }
 
-// checkpointLane re-encodes one lane's surviving records against that
-// lane's own medium. Records go through the vectored append: only the
-// few-dozen-byte header is staged (in a pooled buffer private to this
-// lane job), and each chunk's bytes stream from the live chunk slice to
-// the compacted lane in one copy. The lane's slab-backed Buffer reuses
-// the slabs ResetAll just freed, so a steady checkpoint cycle allocates
-// nothing — and because every lane appends to a private Log/Buffer, lane
-// jobs run concurrently without sharing a single lock or medium
-// (dispatch contract: the job takes no latch-class lock and never waits
-// on the pool).
-func (sv *server) checkpointLane(lane int, plan *ckptLane) {
-	if plan.empty() {
-		return
-	}
-	bp := hdrPool.Get().(*[]byte)
-	appendOne := func(t wal.RecordType, data []byte) {
-		if _, _, err := sv.wal.AppendV(lane, t, *bp, data); err != nil {
+// checkpointLane is the second pool stage, one job per lane: it streams
+// the lane's snapshot l to the lane's own medium, which the caller has
+// reset with this lane's key range, so the records get the same keys
+// whichever lane job runs first. Records go out in AppendNV batches of
+// about ckptBatchBytes: each record's header is encoded into the lane's
+// staging, and each chunk's bytes stream from the live chunk slice to the
+// compacted lane in one copy. The staging, the lane's Log scratch and the
+// slabs ResetAllRanges just freed are all reused, so a steady checkpoint
+// cycle allocates nothing — and because every lane appends to a private
+// Log/Buffer, lane jobs run concurrently without sharing a single lock or
+// medium (dispatch contract: the job takes no latch-class lock and never
+// waits on the pool).
+func (sv *server) checkpointLane(lane int, l *ckptLane) {
+	batched := 0 // encoded bytes of the records in l.specs
+	flush := func() {
+		start := 0
+		for i, end := range l.ends {
+			l.specs[i].Header = l.hdrs[start:end]
+			start = end
+		}
+		if _, _, err := sv.wal.AppendNV(lane, l.specs); err != nil {
 			panic(fmt.Sprintf("blob: checkpoint node %d: %v", sv.node, err))
 		}
+		clear(l.specs) // drop chunk references until the next batch
+		l.specs, l.ends, l.hdrs, batched = l.specs[:0], l.ends[:0], l.hdrs[:0], 0
 	}
-	if plan.intent != nil {
-		// First record of the compacted migration lane, so replay reopens
-		// the intent before anything else.
-		*bp = appendMigrateIntent((*bp)[:0], plan.intent.seq, plan.intent.op, plan.intent.node)
-		appendOne(wal.RecMigrateBegin, nil)
+	// add queues one record whose header the caller just appended to
+	// l.hdrs.
+	add := func(t wal.RecordType, data []byte) {
+		start := 0
+		if k := len(l.ends); k > 0 {
+			start = l.ends[k-1]
+		}
+		l.ends = append(l.ends, len(l.hdrs))
+		l.specs = append(l.specs, wal.AppendVSpec{Type: t, Payload: data})
+		batched += ckptRecOverhead + len(l.hdrs) - start + len(data)
+		if batched >= ckptBatchBytes || len(l.specs) == ckptBatchRecords {
+			flush()
+		}
 	}
-	for _, m := range plan.metas {
-		*bp = appendMetaPayload((*bp)[:0], m.key, m.size)
-		appendOne(wal.RecCreate, nil)
+	if l.intent != nil {
+		// First record of the compacted migration lane — key 1 — so
+		// replay reopens the intent before anything else.
+		l.hdrs = appendMigrateIntent(l.hdrs, l.intent.seq, l.intent.op, l.intent.node)
+		add(wal.RecMigrateBegin, nil)
 	}
-	for _, c := range plan.chunks {
-		*bp = appendChunkHeader((*bp)[:0], c.id, 0, c.ver)
-		appendOne(wal.RecWrite, c.data)
+	for _, m := range l.metas {
+		l.hdrs = appendMetaPayload(l.hdrs, m.key, m.size)
+		add(wal.RecCreate, nil)
 	}
-	for _, d := range plan.debts {
+	for _, c := range l.chunks {
+		l.hdrs = appendChunkHeader(l.hdrs, c.id, 0, c.ver)
+		add(wal.RecWrite, c.data)
+	}
+	for _, d := range l.debts {
 		// RecRepairNeeded reuses the chunk header with the mask in the
 		// version slot (codec.go); overwrite-replay makes one record per
 		// chunk sufficient.
-		*bp = appendChunkHeader((*bp)[:0], d.id, 0, d.mask)
-		appendOne(wal.RecRepairNeeded, nil)
+		l.hdrs = appendChunkHeader(l.hdrs, d.id, 0, d.mask)
+		add(wal.RecRepairNeeded, nil)
 	}
-	hdrPool.Put(bp)
+	if len(l.specs) > 0 {
+		flush()
+	}
+	// Keep the backing arrays, not what they point at: a key or chunk
+	// deleted before the next checkpoint must not stay reachable from here.
+	clear(l.metas)
+	clear(l.chunks)
+	clear(l.debts)
+	l.metas, l.chunks, l.debts, l.intent = l.metas[:0], l.chunks[:0], l.debts[:0], nil
 }
 
 // Checkpoint rewrites a server's write-ahead log as a snapshot of its
-// current volatile state — one record per descriptor and chunk replica —
-// and drops the old log content, bounding log growth the way real object
-// stores compact their journals. Recovery after a checkpoint replays the
-// snapshot exactly. The snapshot streams per-lane: each lane's surviving
-// records are re-encoded against that lane's own medium as an independent
-// worker-pool job, so the compaction write-back scales with the lane
-// sharding exactly like recovery's decode does. The server must be
-// quiescent (no concurrent mutations) for the duration, the same
-// discipline Crash and Recover require; like every parallelDo caller,
-// Checkpoint must not run on a pool worker.
+// current volatile state — one record per descriptor, chunk replica and
+// debt entry — and drops the old log content, bounding log growth the way
+// real object stores compact their journals. Recovery after a checkpoint
+// replays the snapshot exactly. The rewrite runs in stages:
+//
+//  1. the caller buckets the descriptors by lane (checkpointBegin);
+//  2. one pool job per lane snapshots and sorts the lane's records
+//     (checkpointSnapshot);
+//  3. the caller resets the lanes, giving each the contiguous order-key
+//     range its record count fixes (wal.MultiLog.ResetAllRanges);
+//  4. one pool job per lane streams the records out in batches
+//     (checkpointLane).
+//
+// The compacted log is therefore byte-identical across runs of one seed,
+// however the pool schedules the jobs. The server must be quiescent (no
+// concurrent mutations) for the duration, the same discipline Crash and
+// Recover require; like every parallelDo caller, Checkpoint must not run
+// on a pool worker. A down server is left as it is.
 func (s *Store) Checkpoint(node cluster.NodeID) {
-	sv := s.servers[int(node)]
-	plan := sv.checkpointPlan()
-	if plan == nil {
-		return
-	}
-	parallelDo(len(plan), func(lane int) {
-		sv.checkpointLane(lane, &plan[lane])
-	})
+	s.checkpoint(s.servers[int(node) : int(node)+1])
 }
 
 // CheckpointAll checkpoints every live server; the store must be
 // quiescent. Down servers are skipped (their WAL is their only state).
-// The fan-out is flat — every (server, lane) pair becomes one pool job —
-// rather than nesting per-server parallelDo calls inside pool workers,
-// which the dispatch contract forbids (a worker blocking on a nested
-// pool wait can deadlock a saturated pool).
+// Servers are rewritten one after another, each through Checkpoint's
+// stages, so the record lists held between the stages are one server's
+// worth, not the whole store's. The pool stages stay flat — the caller
+// runs each one — rather than a per-server parallelDo nested inside pool
+// workers, which the dispatch contract forbids (a worker blocking on a
+// nested pool wait can deadlock a saturated pool).
 func (s *Store) CheckpointAll() {
-	type laneJob struct {
-		sv   *server
-		plan *ckptLane
-		lane int
+	s.checkpoint(s.servers)
+}
+
+// checkpoint runs the checkpoint stages for each server of svs in turn
+// (see Checkpoint), through the store's shared per-lane scratch.
+func (s *Store) checkpoint(svs []*server) {
+	s.ckptMu.Lock()
+	defer s.ckptMu.Unlock()
+	if s.ckpt == nil {
+		s.ckpt = make([]ckptLane, s.cfg.WALLanes)
+		s.ckptCounts = make([]int, s.cfg.WALLanes)
 	}
-	var jobs []laneJob
-	for _, sv := range s.servers {
-		plan := sv.checkpointPlan()
-		for lane := range plan {
-			if plan[lane].empty() {
-				continue
-			}
-			jobs = append(jobs, laneJob{sv, &plan[lane], lane})
+	for _, sv := range svs {
+		if !sv.checkpointBegin(s.ckpt) {
+			continue
 		}
+		parallelDo(len(s.ckpt), func(lane int) {
+			sv.checkpointSnapshot(lane, &s.ckpt[lane])
+		})
+		for lane := range s.ckpt {
+			s.ckptCounts[lane] = s.ckpt[lane].records()
+		}
+		sv.wal.ResetAllRanges(s.ckptCounts)
+		parallelDo(len(s.ckpt), func(lane int) {
+			sv.checkpointLane(lane, &s.ckpt[lane])
+		})
 	}
-	parallelDo(len(jobs), func(i int) {
-		jobs[i].sv.checkpointLane(jobs[i].lane, jobs[i].plan)
-	})
 }
 
 // DescriptorCount reports how many blob descriptors (primary or replica
@@ -657,9 +774,14 @@ func (s *Store) CheckInvariants() string {
 		}
 	}
 
-	// Chunk-level checks from each chunk primary's view.
+	// Chunk-level checks from each chunk primary's view. The reference
+	// replica is copied into ref, one buffer reused for every chunk, and
+	// each other replica is compared against it in place under its own
+	// stripe lock, so no two stripe locks are ever held together.
+	var ids []chunkID
+	var ref []byte
 	for i, sv := range s.servers {
-		var ids []chunkID
+		ids = ids[:0]
 		sv.forEachChunk(func(id chunkID, _ []byte, _ uint64) {
 			ids = append(ids, id)
 		})
@@ -686,22 +808,22 @@ func (s *Store) CheckInvariants() string {
 				stale |= s.servers[o].debtMask(h, id)
 			}
 			refNode := -1
-			var refData []byte
 			var refVer uint64
 			for _, o := range owners {
 				if o < 64 && stale&(1<<uint(o)) != 0 {
 					continue
 				}
-				data, ver, _ := s.servers[o].copyChunk(h, id)
 				if refNode < 0 {
-					refNode, refData, refVer = o, data, ver
+					refNode = o
+					ref, refVer = s.servers[o].copyChunkInto(ref[:0], h, id)
 					continue
 				}
+				ver, same := s.servers[o].chunkMatches(h, id, ref)
 				if ver != refVer {
 					return fmt.Sprintf("chunk %d of %q version diverges between node %d (v%d) and node %d (v%d)",
 						id.idx, id.key, refNode, refVer, o, ver)
 				}
-				if string(data) != string(refData) {
+				if !same {
 					return fmt.Sprintf("chunk %d of %q diverges between node %d and node %d", id.idx, id.key, refNode, o)
 				}
 			}

@@ -25,6 +25,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"maps"
 	"reflect"
 	"testing"
 
@@ -86,15 +87,93 @@ func captureNode(sv *server) nodeState {
 	return st
 }
 
+// memSnapshot is a deep copy of every server's volatile state (descriptor
+// and chunk tables, versions, debt, up/down flags) and of the store's
+// migration state. Recover changes its live peers as well as the node it
+// recovers — resync installs chunks and records debt on them, repair
+// clears debt — so two recoveries of one node are only comparable if the
+// peers are put back in between.
+type memSnapshot struct {
+	servers   []serverMem
+	migSeq    uint64
+	migIntent *migrationIntent
+}
+
+type serverMem struct {
+	blobs       map[string]*descriptor
+	m           [chunkStripes]map[chunkID][]byte
+	ver, debt   [chunkStripes]map[chunkID]uint64
+	down, wiped bool
+}
+
+func snapshotMem(s *Store) memSnapshot {
+	snap := memSnapshot{migSeq: s.migSeq, migIntent: s.migIntent.Load()}
+	descs := make(map[*descriptor]*descriptor) // keeps shared descriptors shared
+	for _, sv := range s.servers {
+		var m serverMem
+		sv.mu.RLock()
+		m.blobs = make(map[string]*descriptor, len(sv.blobs))
+		for k, d := range sv.blobs {
+			c, ok := descs[d]
+			if !ok {
+				c = &descriptor{size: d.size, version: d.version}
+				descs[d] = c
+			}
+			m.blobs[k] = c
+		}
+		m.down, m.wiped = sv.down, sv.wiped
+		sv.mu.RUnlock()
+		for i := range sv.stripes {
+			st := &sv.stripes[i]
+			st.mu.RLock()
+			m.m[i] = make(map[chunkID][]byte, len(st.m))
+			for id, data := range st.m {
+				m.m[i][id] = append([]byte(nil), data...)
+			}
+			m.ver[i] = maps.Clone(st.ver)
+			m.debt[i] = maps.Clone(st.debt)
+			st.mu.RUnlock()
+		}
+		snap.servers = append(snap.servers, m)
+	}
+	return snap
+}
+
+// restore hands the snapshot's tables to the store (so a snapshot restores
+// once) and recounts the pending repair debt. Lane media are not touched.
+func (snap memSnapshot) restore(s *Store) {
+	var pending int64
+	for i, sv := range s.servers {
+		m := snap.servers[i]
+		sv.mu.Lock()
+		sv.blobs, sv.down, sv.wiped = m.blobs, m.down, m.wiped
+		sv.mu.Unlock()
+		for j := range sv.stripes {
+			st := &sv.stripes[j]
+			st.mu.Lock()
+			st.m, st.ver, st.debt = m.m[j], m.ver[j], m.debt[j]
+			pending += int64(len(st.debt))
+			st.mu.Unlock()
+		}
+	}
+	s.repairPending.Store(pending)
+	s.migSeq = snap.migSeq
+	s.migIntent.Store(snap.migIntent)
+}
+
 // compareRecoveryModes crashes and recovers one node twice from identical
-// media — parallel pipeline first, then the serial oracle — and requires
-// both outcomes to match exactly: error class, descriptors, chunk bytes,
-// and repaired lane media. The node is left recovered (or down, if both
-// paths report corruption).
+// media and identical peers — parallel pipeline first, then the serial
+// oracle — and requires both outcomes to match exactly: error class,
+// descriptors, chunk bytes, and repaired lane media. Between the two runs
+// the node's media and every server's volatile state are put back; the
+// peers keep the log records the first run appended, which the second run
+// appends again. The node is left recovered (or down, if both paths report
+// corruption).
 func compareRecoveryModes(t *testing.T, s *Store, node int) {
 	t.Helper()
 	sv := s.servers[node]
 	full := captureLanes(sv)
+	mem := snapshotMem(s)
 
 	s.cfg.SerialRecovery = false
 	s.Crash(cluster.NodeID(node))
@@ -105,6 +184,7 @@ func compareRecoveryModes(t *testing.T, s *Store, node int) {
 	}
 
 	restoreLanes(sv, full)
+	mem.restore(s)
 	s.cfg.SerialRecovery = true
 	s.Crash(cluster.NodeID(node))
 	errS := s.Recover(cluster.NodeID(node))

@@ -147,9 +147,18 @@ func TestRecoveredStateIdenticalToLive(t *testing.T) {
 
 // TestCheckpointPreservesRecovery: compacting the WAL into a state
 // snapshot must leave crash recovery bit-for-bit equivalent, and the log
-// must actually shrink.
+// must actually shrink. Lane counts that do not divide the chunk-stripe
+// count make every checkpoint lane job filter the stripes by chunk lane.
 func TestCheckpointPreservesRecovery(t *testing.T) {
-	s := New(cluster.New(cluster.Config{Nodes: 5, Seed: 9}), Config{ChunkSize: 64, Replication: 2})
+	for _, lanes := range []int{0, 1, 3, 32} {
+		t.Run(fmt.Sprintf("lanes=%d", lanes), func(t *testing.T) {
+			testCheckpointPreservesRecovery(t, lanes)
+		})
+	}
+}
+
+func testCheckpointPreservesRecovery(t *testing.T, lanes int) {
+	s := New(cluster.New(cluster.Config{Nodes: 5, Seed: 9}), Config{ChunkSize: 64, Replication: 2, WALLanes: lanes})
 	ctx := storage.NewContext()
 	expect := populate(t, s, ctx, sim.NewRNG(31))
 

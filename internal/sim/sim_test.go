@@ -276,9 +276,13 @@ func TestClockConcurrentMerge(t *testing.T) {
 	parent := NewClock()
 	parent.Advance(time.Second)
 	var wg sync.WaitGroup
+	// Fork every child before any goroutine starts joining: a child forked
+	// after an earlier sibling joined would start past time.Second.
 	children := make([]*Clock, 16)
 	for i := range children {
 		children[i] = parent.Fork()
+	}
+	for i := range children {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()

@@ -35,6 +35,14 @@
 // checkpoint, because the start-at-1 invariant is what lets merged replay
 // detect a lane whose entire content was torn away.
 //
+// ResetAllRanges is the reset a compaction uses when it knows each lane's
+// record count before it writes: every lane gets its own contiguous key
+// range (lane 0 first, from key 1), and the lane's appends draw from that
+// range instead of the shared counter. Lanes can then be rewritten
+// concurrently and still carry the same keys on every run, so the
+// compacted log is byte-identical across runs however the writers were
+// scheduled.
+//
 // # Group commit
 //
 // Each lane admits one flush leader at a time. An appender that finds the
@@ -432,10 +440,36 @@ func (m *MultiLog) recoverFeeds(feeds []LaneFeed, fn func(Record) error) error {
 // history). Unlike Log.ResetSize, keys deliberately do NOT stay monotonic
 // across a reset — merged replay's start-at-1 invariant is what detects a
 // lane whose entire content was torn away. Requires quiescence.
-func (m *MultiLog) ResetAll() {
-	for i := range m.lanes {
-		m.lanes[i].buf.Reset()
-		m.lanes[i].log.ResetSize()
+func (m *MultiLog) ResetAll() { m.ResetAllRanges(nil) }
+
+// ResetAllRanges is ResetAll for a compaction that knows how many records
+// it will write to each lane. Lane i is given the contiguous key range of
+// counts[i] keys that follows the ranges of lanes 0..i-1 (lane 0's starts
+// at key 1); the lane's appends draw from that range until it is used up,
+// and the shared counter moves past every range, so later appends follow
+// the compacted history. Lane writers running concurrently therefore
+// stamp the same keys on every run, and merged replay yields the lanes
+// one after another. Each lane must receive exactly counts[i] records
+// before any other append reaches it, or merged replay stops at the gap;
+// an append that would overrun its lane's range fails. A nil counts
+// reserves nothing. Requires quiescence.
+func (m *MultiLog) ResetAllRanges(counts []int) {
+	if counts != nil && len(counts) != len(m.lanes) {
+		panic(fmt.Sprintf("wal: %d key-range counts for a %d-lane log", len(counts), len(m.lanes)))
 	}
-	m.seq.Store(0)
+	var next uint64 = 1
+	for i := range m.lanes {
+		ln := &m.lanes[i]
+		ln.buf.Reset()
+		ln.log.ResetSize()
+		end := next
+		if counts != nil {
+			end += uint64(counts[i])
+		}
+		ln.log.mu.Lock()
+		ln.log.keyNext, ln.log.keyEnd = next, end
+		ln.log.mu.Unlock()
+		next = end
+	}
+	m.seq.Store(next - 1)
 }

@@ -314,6 +314,73 @@ func TestMultiLogResetAllRestartsKeys(t *testing.T) {
 	}
 }
 
+// TestMultiLogResetAllRangesFixesKeys: after ResetAllRanges each lane's
+// appends carry the keys of its own reserved range whatever order the lanes
+// are written in, so two runs that write the lanes in opposite orders (or
+// concurrently) leave byte-identical media. Merged replay then yields the
+// lanes one after another, appends past a range fail without writing, and
+// once the ranges are used up appends follow the compacted history.
+func TestMultiLogResetAllRangesFixesKeys(t *testing.T) {
+	counts := []int{2, 0, 3}
+	fill := func(order []int) *MultiLog {
+		m := NewMultiLog(3)
+		for i := 0; i < 7; i++ {
+			if _, _, err := m.AppendV(i%3, RecWrite, nil, []byte("old")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		m.ResetAllRanges(counts)
+		if m.Size() != 0 || m.NextKey() != 6 {
+			t.Fatalf("after ResetAllRanges: size=%d nextKey=%d", m.Size(), m.NextKey())
+		}
+		for _, lane := range order {
+			specs := make([]AppendVSpec, counts[lane])
+			for i := range specs {
+				specs[i] = AppendVSpec{Type: RecCreate, Header: []byte{byte(lane)}, Payload: []byte{byte(i)}}
+			}
+			if _, _, err := m.AppendNV(lane, specs); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return m
+	}
+	a, b := fill([]int{0, 1, 2}), fill([]int{2, 1, 0})
+	for lane := range counts {
+		ra, _ := ReplayAll(a.LaneBuffer(lane).Reader())
+		rb, _ := ReplayAll(b.LaneBuffer(lane).Reader())
+		if fmt.Sprint(ra) != fmt.Sprint(rb) {
+			t.Fatalf("lane %d differs with write order:\n%v\n%v", lane, ra, rb)
+		}
+	}
+	var lanes []byte
+	if err := a.ReplayMerged(func(rec Record) error {
+		lanes = append(lanes, rec.Payload[0])
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if want := []byte{0, 0, 2, 2, 2}; !bytes.Equal(lanes, want) {
+		t.Fatalf("merged replay visits lanes %v, want %v", lanes, want)
+	}
+	if key, _, err := a.AppendV(1, RecWrite, nil, nil); err != nil || key != 6 {
+		t.Fatalf("append after the ranges: key=%d err=%v, want 6", key, err)
+	}
+	m := NewMultiLog(2)
+	m.ResetAllRanges([]int{1, 0})
+	if _, _, err := m.AppendNV(0, make([]AppendVSpec, 2)); err == nil {
+		t.Fatal("append past the reserved range succeeded")
+	}
+	if m.Size() != 0 {
+		t.Fatalf("failed append wrote %d bytes", m.Size())
+	}
+	if key, _, err := m.AppendV(0, RecCreate, nil, nil); err != nil || key != 1 {
+		t.Fatalf("in-range append: key=%d err=%v", key, err)
+	}
+	if key, _, err := m.AppendV(0, RecCreate, nil, nil); err != nil || key != 2 {
+		t.Fatalf("post-range append: key=%d err=%v, want the shared counter's key 2", key, err)
+	}
+}
+
 // batchedFeed serves a lane's pre-decoded records from memory — the
 // staged-decode shape the blob store's parallel recovery pipeline hands
 // the merge, terminal state included. Unlike a live Decoder it exposes the

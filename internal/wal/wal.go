@@ -33,9 +33,13 @@
 // and appends within a lane coalesce through a group-commit staging ring:
 // concurrent appenders enqueue their vectored segments, one leader flushes
 // the whole batch under a single lane-lock acquisition and a single medium
-// write, and followers are woken over per-request channels. See multilog.go
-// for the order-key semantics, the merged-replay prefix contract, and the
-// group-commit protocol in detail.
+// write, and followers are woken over per-request channels. A checkpoint
+// that rewrites the lanes concurrently resets them with ResetAllRanges,
+// which reserves each lane a contiguous key range fixed by its record
+// count, so the compacted log carries the same keys however the lane
+// writers were scheduled. See multilog.go for the order-key semantics, the
+// key ranges, the merged-replay prefix contract, and the group-commit
+// protocol in detail.
 package wal
 
 import (
@@ -191,6 +195,11 @@ type Log struct {
 	// must use an infallible medium (Buffer is; the blob store panics on
 	// any append error regardless), or merged replay would stop at the gap.
 	src *atomic.Uint64
+	// keyNext and keyEnd bound a key range reserved by
+	// MultiLog.ResetAllRanges: while keyNext < keyEnd, appends draw their
+	// LSNs from [keyNext, keyEnd) instead of src, and an append that would
+	// run past keyEnd fails before it writes.
+	keyNext, keyEnd uint64
 }
 
 // recPrefixLen is the encoded size of the per-record framing: u32 length,
@@ -219,9 +228,9 @@ func (l *Log) Append(t RecordType, payload []byte) (lsn uint64, n int, err error
 func (l *Log) AppendV(t RecordType, header, payload []byte) (lsn uint64, n int, err error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	lsn = l.nextLSN
-	if l.src != nil {
-		lsn = l.src.Add(1)
+	lsn, err = l.drawLSNs(1)
+	if err != nil {
+		return 0, 0, err
 	}
 	if cap(l.hdrs) < recPrefixLen {
 		l.hdrs = make([]byte, 0, 16*recPrefixLen)
@@ -267,9 +276,9 @@ func (l *Log) AppendNV(specs []AppendVSpec) (firstLSN uint64, n int, err error) 
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	firstLSN = l.nextLSN
-	if l.src != nil {
-		firstLSN = l.src.Add(uint64(k)) - uint64(k) + 1
+	firstLSN, err = l.drawLSNs(uint64(k))
+	if err != nil {
+		return 0, 0, err
 	}
 	if need := k * recPrefixLen; cap(l.hdrs) < need {
 		l.hdrs = make([]byte, 0, need)
@@ -300,6 +309,25 @@ func (l *Log) AppendNV(specs []AppendVSpec) (firstLSN uint64, n int, err error) 
 	l.nextLSN = firstLSN + uint64(k)
 	l.bytes += int64(n)
 	return firstLSN, n, nil
+}
+
+// drawLSNs assigns k consecutive LSNs to the records of one append and
+// returns the first: from the reserved key range while one is open, else
+// from the shared counter (MultiLog lanes), else from the log's own
+// sequence. The caller holds l.mu.
+func (l *Log) drawLSNs(k uint64) (uint64, error) {
+	if l.keyNext < l.keyEnd {
+		first := l.keyNext
+		if k > l.keyEnd-first {
+			return 0, fmt.Errorf("wal: append of %d records overruns the reserved key range [%d, %d)", k, first, l.keyEnd)
+		}
+		l.keyNext += k
+		return first, nil
+	}
+	if l.src != nil {
+		return l.src.Add(k) - k + 1, nil
+	}
+	return l.nextLSN, nil
 }
 
 // clearSegs drops the segment references once WriteV has copied them out,

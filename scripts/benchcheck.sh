@@ -35,6 +35,13 @@
 # batteries, so failure-domain regressions fail here before any number is
 # recorded.
 #
+# Between the -race suite and the fuzz loop, the checkpoint tests, the
+# crash-point and recovery-equivalence sweeps, the migration checkpoint
+# test and the sim clock's concurrent-merge test run 20 times at each of
+# 1, 2 and 4 CPUs: their bugs depend on how goroutines are scheduled
+# (checkpoint lane jobs, concurrent clock joins), and a single run on one
+# CPU count can hide them.
+#
 # The hot-path, recovery, and faults micro-benchmarks then run with
 # allocation accounting and the results (including the WAL lane-count
 # sweeps) land in BENCH_hotpath.json, BENCH_recovery.json, and
@@ -80,6 +87,8 @@ go run ./cmd/blobvet ./...
 go vet ./...
 go test -race -shuffle=on ./internal/blob/... ./internal/sim/... ./internal/cluster/... ./internal/wal/... ./internal/core/... ./internal/storage/... ./internal/kvstore/... \
 	./internal/fstest/... ./internal/blobfs/... ./internal/fs/... ./internal/mpiio/... ./internal/h5/... ./internal/adios/... ./internal/s3gw/... ./internal/sparksim/...
+go test -run '^(TestCheckpoint.*|TestCrashPointSweep|TestRecoveryEquivalenceRandomized|TestMigrationCheckpointCarriesIntent)$' -cpu 1,2,4 -count=20 ./internal/blob
+go test -run '^TestClockConcurrentMerge$' -cpu 1,2,4 -count=20 ./internal/sim
 for pkg in ./internal/wal ./internal/blob ./internal/fstest; do
 	for fz in $(go test -run '^$' -list '^Fuzz' "$pkg" | grep '^Fuzz'); do
 		go test -run '^$' -fuzz "^${fz}\$" -fuzztime 10s "$pkg"

@@ -369,14 +369,7 @@ func BenchmarkHotPathRead(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.SetBytes(h.OpBytes())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := h.Read(); err != nil {
-			b.Fatal(err)
-		}
-	}
+	bench.DriveSerial(b, h.Store, h.OpBytes(), h.Read)
 }
 
 func BenchmarkHotPathWrite(b *testing.B) {
@@ -390,21 +383,7 @@ func BenchmarkHotPathWrite(b *testing.B) {
 	if err := h.Warm(); err != nil {
 		b.Fatal(err)
 	}
-	b.SetBytes(h.OpBytes())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if i%bench.CompactEvery == bench.CompactEvery-1 {
-			// Periodic WAL checkpoint outside the timer: keeps the metric
-			// on per-op dispatch cost, not in-memory log accumulation.
-			b.StopTimer()
-			h.Compact()
-			b.StartTimer()
-		}
-		if err := h.Write(); err != nil {
-			b.Fatal(err)
-		}
-	}
+	bench.DriveSerial(b, h.Store, h.OpBytes(), h.Write)
 }
 
 // Inline variants pin the dispatcher's overhead against sequential
@@ -416,14 +395,7 @@ func BenchmarkHotPathReadInline(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.SetBytes(h.OpBytes())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := h.Read(); err != nil {
-			b.Fatal(err)
-		}
-	}
+	bench.DriveSerial(b, h.Store, h.OpBytes(), h.Read)
 }
 
 func BenchmarkHotPathWriteInline(b *testing.B) {
@@ -434,19 +406,7 @@ func BenchmarkHotPathWriteInline(b *testing.B) {
 	if err := h.Warm(); err != nil {
 		b.Fatal(err)
 	}
-	b.SetBytes(h.OpBytes())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if i%bench.CompactEvery == bench.CompactEvery-1 {
-			b.StopTimer()
-			h.Compact()
-			b.StartTimer()
-		}
-		if err := h.Write(); err != nil {
-			b.Fatal(err)
-		}
-	}
+	bench.DriveSerial(b, h.Store, h.OpBytes(), h.Write)
 }
 
 // BenchmarkHotPathReadParallel drives the dispatcher from many concurrent
@@ -519,7 +479,8 @@ func BenchmarkHotPathWriteParallelLanes1(b *testing.B) {
 // parallel lane-decode pipeline, across the WAL lane sweep. ns/op is one
 // full crash+recover cycle; MB/s is log bytes replayed. benchsuite's
 // `recovery` experiment records the fuller sweep (including cold-store
-// sizes) in BENCH_recovery.json, gated by bench.CheckRecoveryScaling.
+// sizes) in BENCH_recovery.json, gated on the parallel/serial ratio
+// (`benchsuite -list` prints the bound).
 func BenchmarkRecover(b *testing.B) {
 	for _, mode := range []struct {
 		name   string
@@ -670,6 +631,9 @@ func BenchmarkFaultWrite(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		if err := f.Warm(); err != nil {
+			b.Fatal(err)
+		}
 		b.Run(mode.name, f.DriveWrite(mode.degraded))
 	}
 }
@@ -679,6 +643,9 @@ func BenchmarkFaultWrite(b *testing.B) {
 func BenchmarkFaultResync(b *testing.B) {
 	f, err := bench.NewFaultsFixture()
 	if err != nil {
+		b.Fatal(err)
+	}
+	if err := f.Warm(); err != nil {
 		b.Fatal(err)
 	}
 	f.DriveResync(b)

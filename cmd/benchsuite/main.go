@@ -1,77 +1,21 @@
-// Command benchsuite regenerates every table and figure of the paper's
-// evaluation section, plus the Section III mapping analysis and the
-// Section V future-work experiment.
+// Command benchsuite runs the experiments of internal/bench: the paper's
+// tables and figures, the Section III mapping analysis, the Section V
+// future-work experiment, and the benchmark experiments that record
+// BENCH_<name>.json.
 //
 // Usage:
 //
-//	benchsuite [-exp all|table1|fig1|fig2|table2|mapping|futurework|hotpath|recovery|faults|frontends|rebalance]
-//	           [-factor N] [-chunk N] [-ranks N] [-executors N]
-//	           [-hotpath-out FILE] [-hotpath-baseline FILE]
-//	           [-recovery-out FILE] [-recovery-ratio R]
-//	           [-faults-out FILE] [-faults-ratio R]
-//	           [-frontends-out FILE] [-frontends-ratio R]
-//	           [-rebalance-out FILE] [-rebalance-ratio R]
+//	benchsuite [-exp all|NAME] [-factor N] [-chunk N] [-ranks N] [-executors N] [-out DIR]
+//	benchsuite -list
+//
+// -exp all (the default) runs the paper's experiments. `benchsuite -list`
+// prints every experiment with its gates and their bounds. Every gate must
+// pass before a benchmark experiment writes DIR/BENCH_<name>.json, so a
+// failing run never replaces the committed file; the hotpath allocation
+// gate always reads ./BENCH_hotpath.json.
 //
 // The default factor 1024 scales the paper's GB volumes to MB; the chunk
 // scales the per-call I/O unit accordingly (see internal/workloads).
-//
-// The hotpath experiment is the benchcheck target: it runs the data-plane
-// micro-benchmarks (BenchmarkHotPathRead / BenchmarkHotPathWrite /
-// BenchmarkHotPathWriteParallel plus a WAL lane-count sweep, with
-// allocation accounting equivalent to `go test -bench HotPath -benchmem`)
-// and writes the results to -hotpath-out (default BENCH_hotpath.json) so
-// successive PRs have a perf trajectory to compare against. Two gates run
-// before the file is written:
-//
-//   - with -hotpath-baseline, the committed file is read BEFORE the
-//     results overwrite it and the run fails if the write path's
-//     allocation volume regressed against it;
-//
-//   - the parallel/serial write ratio is checked against -hotpath-ratio
-//     (default: a hardware-aware bound chosen by GOMAXPROCS, see
-//     bench.CheckWriteScaling; 0 disables), failing the run if the
-//     sharded-lane WAL stops delivering parallel write scaling.
-//
-//     go run ./cmd/benchsuite -exp hotpath -hotpath-baseline BENCH_hotpath.json
-//
-// The recovery experiment is the other benchcheck target: the
-// serial-vs-parallel crash-recovery sweep (WAL lane counts x cold-store
-// sizes) written to -recovery-out (default BENCH_recovery.json), gated by
-// -recovery-ratio (default: a GOMAXPROCS-aware bound, see
-// bench.CheckRecoveryScaling; 0 disables) BEFORE the file is written.
-//
-//	go run ./cmd/benchsuite -exp recovery
-//
-// The faults experiment is the failure-domain benchcheck target: healthy vs
-// degraded full-blob overwrites and the rejoin-resync cycle, written to
-// -faults-out (default BENCH_faults.json). The gate reads the deterministic
-// /virtual result pair (simulated cost, identical on every host) rather
-// than wall-clock ns/op, bounding the degraded/healthy write cost ratio by
-// -faults-ratio (default 1.25, see bench.CheckFaults; 0 disables) BEFORE
-// the file is written.
-//
-//	go run ./cmd/benchsuite -exp faults
-//
-// The frontends experiment is the converged-access-layer benchcheck
-// target: the IOR-style HPC pattern, the Sort shuffle, and the S3 put/get
-// cycle, each over one blob data plane with a deterministic /virtual twin,
-// written to -frontends-out (default BENCH_frontends.json). The gate reads
-// the BenchmarkFrontendRename virtual pair, requiring the server-side
-// rename fast path to cost at most -frontends-ratio of the client-side
-// copy loop (default 0.95, see bench.CheckFrontends; 0 disables) BEFORE
-// the file is written.
-//
-//	go run ./cmd/benchsuite -exp frontends
-//
-// The rebalance experiment is the elasticity benchcheck target: the
-// foreground p99 of a mixed read / 2PC-write workload during a live node
-// join and drain, against the same workload quiesced, written to
-// -rebalance-out (default BENCH_rebalance.json). The gate reads the three
-// deterministic /virtual rows, bounding the during-migration/quiesced p99
-// ratio by -rebalance-ratio (default 4, see bench.CheckRebalance; 0
-// disables) BEFORE the file is written.
-//
-//	go run ./cmd/benchsuite -exp rebalance
 package main
 
 import (
@@ -84,280 +28,33 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: all, table1, fig1, fig2, table2, mapping, futurework, hotpath, recovery, faults, frontends, rebalance")
+	exp := flag.String("exp", "all", "experiment to run (see -list), or all for the paper's experiments")
 	factor := flag.Int64("factor", 1024, "divide the paper's byte volumes by this factor")
 	chunk := flag.Int("chunk", 4096, "per-call I/O unit in bytes")
 	ranks := flag.Int("ranks", 8, "MPI ranks for HPC applications")
 	executors := flag.Int("executors", 4, "Spark executors")
-	hotpathOut := flag.String("hotpath-out", "BENCH_hotpath.json", "output file for the hotpath experiment")
-	hotpathBaseline := flag.String("hotpath-baseline", "", "committed BENCH_hotpath.json to gate write-path allocation regressions against")
-	hotpathRatio := flag.Float64("hotpath-ratio", -1,
-		"max parallel/serial write ns-per-op ratio gate: <0 picks a GOMAXPROCS-aware default, 0 disables the gate")
-	recoveryOut := flag.String("recovery-out", "BENCH_recovery.json", "output file for the recovery experiment")
-	recoveryRatio := flag.Float64("recovery-ratio", -1,
-		"max parallel/serial recovery ns-per-op ratio gate: <0 picks a GOMAXPROCS-aware default, 0 disables the gate")
-	faultsOut := flag.String("faults-out", "BENCH_faults.json", "output file for the faults experiment")
-	faultsRatio := flag.Float64("faults-ratio", -1,
-		"max degraded/healthy write ns-per-op ratio gate: <0 picks a GOMAXPROCS-aware default, 0 disables the gate")
-	frontendsOut := flag.String("frontends-out", "BENCH_frontends.json", "output file for the frontends experiment")
-	frontendsRatio := flag.Float64("frontends-ratio", -1,
-		"max fastpath/copy rename ns-per-op ratio gate: <0 picks the default (0.95), 0 disables the gate")
-	rebalanceOut := flag.String("rebalance-out", "BENCH_rebalance.json", "output file for the rebalance experiment")
-	rebalanceRatio := flag.Float64("rebalance-ratio", -1,
-		"max during-migration/quiesced foreground p99 ratio gate: <0 picks the default (4), 0 disables the gate")
+	out := flag.String("out", ".", "directory that receives BENCH_<name>.json")
+	list := flag.Bool("list", false, "list the experiments and their gates, then exit")
 	flag.Parse()
 
-	// Read the baseline up front: -hotpath-out usually names the same file,
-	// and the gate must compare against the committed numbers, not ours.
-	var baseline []byte
-	if *hotpathBaseline != "" {
-		var err error
-		if baseline, err = os.ReadFile(*hotpathBaseline); err != nil {
-			fmt.Fprintf(os.Stderr, "benchsuite: hotpath baseline: %v\n", err)
+	if *list {
+		bench.List(os.Stdout)
+		return
+	}
+	cfg := workloads.Config{Factor: *factor, Chunk: *chunk, Ranks: *ranks, Executors: *executors}
+	ran := false
+	for _, e := range bench.Experiments {
+		if *exp != e.Name && (*exp != "all" || !e.Paper) {
+			continue
+		}
+		ran = true
+		if err := e.Execute(os.Stdout, cfg, *out); err != nil {
+			fmt.Fprintf(os.Stderr, "benchsuite: %s: %v\n", e.Name, err)
 			os.Exit(1)
 		}
 	}
-
-	cfg := workloads.Config{
-		Factor:    *factor,
-		Chunk:     *chunk,
-		Ranks:     *ranks,
-		Executors: *executors,
-	}
-
-	run := func(name string, fn func() error) {
-		if *exp != "all" && *exp != name {
-			return
-		}
-		if err := fn(); err != nil {
-			fmt.Fprintf(os.Stderr, "benchsuite: %s: %v\n", name, err)
-			os.Exit(1)
-		}
-	}
-
-	run("table1", func() error {
-		res, err := bench.RunTableI(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Println(res.Render())
-		fmt.Printf("profiles match the paper: %v\n\n", res.Matches())
-		return nil
-	})
-	run("fig1", func() error {
-		res, err := bench.RunFigure1(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Println(res.Render())
-		return nil
-	})
-	run("fig2", func() error {
-		res, err := bench.RunFigure2(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Println(res.Render())
-		return nil
-	})
-	run("table2", func() error {
-		res, err := bench.RunTableII(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Println(res.Render())
-		fmt.Printf("matches the paper's 43/43/5/0: %v\n\n", res.MatchesPaper())
-		return nil
-	})
-	run("mapping", func() error {
-		res, err := bench.RunMapping(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Println(res.Render())
-		fmt.Printf("all applications run on blobs with >98%% direct calls: %v\n\n",
-			res.AllRunAndMostlyDirect())
-		return nil
-	})
-	run("futurework", func() error {
-		res, err := bench.RunFutureWork(bench.FutureWorkOptions{})
-		if err != nil {
-			return err
-		}
-		fmt.Println(res.Render())
-		fmt.Printf("flat-namespace gains hold: %v\n", res.GainsHold())
-		return nil
-	})
-	// The hotpath experiment only runs when requested explicitly: it is the
-	// benchcheck target, not part of the paper's evaluation tables.
-	if *exp == "hotpath" {
-		results, err := bench.RunHotPath()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchsuite: hotpath: %v\n", err)
-			os.Exit(1)
-		}
-		for _, r := range results {
-			fmt.Printf("%-30s %10d ns/op %8d B/op %6d allocs/op %10.1f MB/s\n",
-				r.Name, r.NsPerOp, r.BytesPerOp, r.AllocsPerOp, r.MBPerSec)
-		}
-		// Gate BEFORE writing -hotpath-out: the two usually name the same
-		// file, and a failing run must not clobber the committed baseline —
-		// that would make a simple re-run pass against its own regression.
-		if baseline != nil {
-			if err := bench.CheckHotPathBaseline(results, baseline); err != nil {
-				fmt.Fprintf(os.Stderr, "benchsuite: hotpath: %v (baseline left untouched)\n", err)
-				os.Exit(1)
-			}
-			fmt.Printf("write-path allocation gate vs %s: ok\n", *hotpathBaseline)
-		}
-		if *hotpathRatio != 0 {
-			if err := bench.CheckWriteScaling(results, *hotpathRatio); err != nil {
-				fmt.Fprintf(os.Stderr, "benchsuite: hotpath: %v (baseline left untouched)\n", err)
-				os.Exit(1)
-			}
-			fmt.Println("parallel/serial write-scaling gate: ok")
-		}
-		out, err := bench.RenderHotPath(results)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchsuite: hotpath: %v\n", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*hotpathOut, append(out, '\n'), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "benchsuite: hotpath: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *hotpathOut)
-	}
-	// The recovery experiment is the second benchcheck target: the
-	// serial-vs-parallel crash-recovery sweep across WAL lane counts and
-	// cold-store sizes, gated on the parallel pipeline actually beating
-	// (or, without parallel hardware, staying within bounded overhead of)
-	// the single-threaded oracle before BENCH_recovery.json is written.
-	if *exp == "recovery" {
-		results, err := bench.RunRecovery()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchsuite: recovery: %v\n", err)
-			os.Exit(1)
-		}
-		for _, r := range results {
-			fmt.Printf("%-45s %10d ns/op %8d B/op %6d allocs/op %10.1f MB/s\n",
-				r.Name, r.NsPerOp, r.BytesPerOp, r.AllocsPerOp, r.MBPerSec)
-		}
-		if *recoveryRatio != 0 {
-			if err := bench.CheckRecoveryScaling(results, *recoveryRatio); err != nil {
-				fmt.Fprintf(os.Stderr, "benchsuite: recovery: %v (output left untouched)\n", err)
-				os.Exit(1)
-			}
-			fmt.Println("parallel/serial recovery-scaling gate: ok")
-		}
-		out, err := bench.RenderRecovery(results)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchsuite: recovery: %v\n", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*recoveryOut, append(out, '\n'), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "benchsuite: recovery: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *recoveryOut)
-	}
-	// The faults experiment is the third benchcheck target: the cost profile
-	// of writing through a failure domain (degraded writes on the live
-	// replica subset) and of the rejoin-resync drain, gated on degraded
-	// writes never costing more than bounded bookkeeping over healthy ones
-	// before BENCH_faults.json is written.
-	if *exp == "faults" {
-		results, err := bench.RunFaults()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchsuite: faults: %v\n", err)
-			os.Exit(1)
-		}
-		for _, r := range results {
-			fmt.Printf("%-35s %10d ns/op %8d B/op %6d allocs/op %10.1f MB/s\n",
-				r.Name, r.NsPerOp, r.BytesPerOp, r.AllocsPerOp, r.MBPerSec)
-		}
-		if *faultsRatio != 0 {
-			if err := bench.CheckFaults(results, *faultsRatio); err != nil {
-				fmt.Fprintf(os.Stderr, "benchsuite: faults: %v (output left untouched)\n", err)
-				os.Exit(1)
-			}
-			fmt.Println("degraded/healthy write-cost gate: ok")
-		}
-		out, err := bench.RenderFaults(results)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchsuite: faults: %v\n", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*faultsOut, append(out, '\n'), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "benchsuite: faults: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *faultsOut)
-	}
-	// The frontends experiment is the fourth benchcheck target: the three
-	// converged access layers (IOR pattern, Sort shuffle, S3 put/get) over
-	// one blob data plane, gated on the blobfs rename fast path still
-	// beating the client-side copy loop before BENCH_frontends.json is
-	// written.
-	if *exp == "frontends" {
-		results, err := bench.RunFrontends()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchsuite: frontends: %v\n", err)
-			os.Exit(1)
-		}
-		for _, r := range results {
-			fmt.Printf("%-40s %12d ns/op %8d B/op %6d allocs/op %10.1f MB/s\n",
-				r.Name, r.NsPerOp, r.BytesPerOp, r.AllocsPerOp, r.MBPerSec)
-		}
-		if *frontendsRatio != 0 {
-			if err := bench.CheckFrontends(results, *frontendsRatio); err != nil {
-				fmt.Fprintf(os.Stderr, "benchsuite: frontends: %v (output left untouched)\n", err)
-				os.Exit(1)
-			}
-			fmt.Println("rename fastpath/copy gate: ok")
-		}
-		out, err := bench.RenderFrontends(results)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchsuite: frontends: %v\n", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*frontendsOut, append(out, '\n'), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "benchsuite: frontends: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *frontendsOut)
-	}
-	// The rebalance experiment is the fifth benchcheck target: foreground
-	// p99 latency during a live join/drain against the quiesced baseline,
-	// gated on the throttled, batched migration sweep never costing the
-	// foreground more than bounded contention before BENCH_rebalance.json
-	// is written.
-	if *exp == "rebalance" {
-		results, err := bench.RunRebalance()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchsuite: rebalance: %v\n", err)
-			os.Exit(1)
-		}
-		for _, r := range results {
-			fmt.Printf("%-48s %12d ns/op %8d B/op %6d allocs/op\n",
-				r.Name, r.NsPerOp, r.BytesPerOp, r.AllocsPerOp)
-		}
-		if *rebalanceRatio != 0 {
-			if err := bench.CheckRebalance(results, *rebalanceRatio); err != nil {
-				fmt.Fprintf(os.Stderr, "benchsuite: rebalance: %v (output left untouched)\n", err)
-				os.Exit(1)
-			}
-			fmt.Println("migration/quiesced foreground-p99 gate: ok")
-		}
-		out, err := bench.RenderRebalance(results)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchsuite: rebalance: %v\n", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*rebalanceOut, append(out, '\n'), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "benchsuite: rebalance: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *rebalanceOut)
+	if !ran {
+		fmt.Fprintf(os.Stderr, "benchsuite: unknown experiment %q (see -list)\n", *exp)
+		os.Exit(2)
 	}
 }

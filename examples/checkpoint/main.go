@@ -1,18 +1,18 @@
 // Checkpoint/restart on blob storage — the BlobCR use case the paper's
 // related-work section cites ([49] Nicolae & Cappello): an MPI application
-// periodically checkpoints every rank's state into one blob per epoch;
-// after a simulated failure, the survivors locate the newest complete
-// checkpoint with a namespace scan and restart from it.
+// periodically checkpoints every rank's state into one blob per epoch
+// through internal/blobcr; after a simulated failure, the survivors locate
+// the newest complete checkpoint with a namespace scan and restart from it.
 //
 // Run with: go run ./examples/checkpoint
 package main
 
 import (
+	"bytes"
 	"fmt"
 	"log"
-	"sort"
-	"strings"
 
+	"repro/internal/blobcr"
 	"repro/internal/core"
 	"repro/internal/mpi"
 	"repro/internal/sim"
@@ -26,28 +26,25 @@ const (
 
 func main() {
 	platform := core.New(core.Options{Nodes: 8, Seed: 7})
-	blobs := platform.Blob()
+	m, err := blobcr.NewManager(platform.Blob(), blobcr.Options{Ranks: ranks, SlabSize: stateSize})
+	if err != nil {
+		log.Fatal(err)
+	}
 
-	// --- Phase 1: run the application, checkpointing each epoch. ---
+	// --- Phase 1: run the application, checkpointing each epoch. Every
+	// rank writes its slab of the epoch blob — random blob writes, exactly
+	// the capability HDFS-style write-once storage lacks. ---
 	errs := mpi.Run(ranks, sim.DefaultCostModel(), func(r *mpi.Rank) error {
+		rs, err := m.NewRankState(r)
+		if err != nil {
+			return err
+		}
 		state := make([]byte, stateSize)
 		for epoch := 0; epoch < epochs; epoch++ {
 			compute(state, epoch, r.ID)
-
-			key := fmt.Sprintf("ckpt/epoch-%04d", epoch)
-			if r.ID == 0 {
-				if err := blobs.CreateBlob(r.Ctx, key); err != nil {
-					return err
-				}
-			}
-			r.Barrier()
-			// Every rank writes its slab — random blob writes, exactly the
-			// capability HDFS-style write-once storage lacks.
-			off := int64(r.ID) * stateSize
-			if _, err := blobs.WriteBlob(r.Ctx, key, off, state); err != nil {
+			if _, err := rs.Checkpoint(epoch, state); err != nil {
 				return err
 			}
-			r.Barrier()
 		}
 		return nil
 	})
@@ -58,39 +55,27 @@ func main() {
 
 	// --- Phase 2: the cluster "fails"; find the newest checkpoint. ---
 	ctx := platform.NewContext()
-	infos, err := blobs.Scan(ctx, "ckpt/")
+	latest, key, err := m.LatestComplete(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}
-	var complete []string
-	for _, info := range infos {
-		if info.Size == int64(ranks)*stateSize {
-			complete = append(complete, info.Key)
-		}
-	}
-	if len(complete) == 0 {
-		log.Fatal("no complete checkpoint found")
-	}
-	sort.Strings(complete)
-	latest := complete[len(complete)-1]
-	fmt.Printf("restart point: %s (%d complete checkpoints found by scan)\n", latest, len(complete))
+	fmt.Printf("restart point: %s\n", key)
 
 	// --- Phase 3: restart — every rank reloads and verifies its slab. ---
 	errs = mpi.Run(ranks, sim.DefaultCostModel(), func(r *mpi.Rank) error {
-		state := make([]byte, stateSize)
-		off := int64(r.ID) * stateSize
-		n, err := blobs.ReadBlob(r.Ctx, latest, off, state)
+		rs, err := m.NewRankState(r)
 		if err != nil {
 			return err
 		}
-		if n != stateSize {
-			return fmt.Errorf("rank %d: short restore %d/%d", r.ID, n, stateSize)
+		state, err := rs.Restore(latest)
+		if err != nil {
+			return err
 		}
 		want := make([]byte, stateSize)
-		for epoch := 0; epoch < epochs; epoch++ {
+		for epoch := 0; epoch <= latest; epoch++ {
 			compute(want, epoch, r.ID)
 		}
-		if string(state) != string(want) {
+		if !bytes.Equal(state, want) {
 			return fmt.Errorf("rank %d: restored state diverges", r.ID)
 		}
 		return nil
@@ -101,15 +86,11 @@ func main() {
 	fmt.Println("all ranks restored and verified their state")
 
 	// Housekeeping: retention — drop all but the latest checkpoint.
-	dropped := 0
-	for _, key := range complete[:len(complete)-1] {
-		if err := blobs.DeleteBlob(ctx, key); err != nil {
-			log.Fatal(err)
-		}
-		dropped++
+	dropped, err := m.Retain(ctx, 1)
+	if err != nil {
+		log.Fatal(err)
 	}
-	fmt.Printf("retention: dropped %d old checkpoints, kept %s\n",
-		dropped, strings.TrimPrefix(latest, "ckpt/"))
+	fmt.Printf("retention: dropped %d old checkpoints, kept %s\n", dropped, key)
 }
 
 // compute advances a rank's state deterministically, so restored state can

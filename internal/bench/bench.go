@@ -1,7 +1,9 @@
-// Package bench is the experiment harness: one function per table/figure of
-// the paper, each returning a structured result with a Render method that
-// prints the same rows/series the paper reports. cmd/benchsuite and the
-// bench_test.go targets are thin wrappers over this package.
+// Package bench is the experiment harness. Experiments is its one table:
+// the paper's tables and figures, each a structured result with a Render
+// method that prints the rows/series the paper reports, and the benchmark
+// experiments behind the committed BENCH_<name>.json files, each with the
+// gates its result must pass. cmd/benchsuite and the bench_test.go targets
+// are thin wrappers over this package.
 package bench
 
 import (

@@ -1,9 +1,7 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-
 	"testing"
 	"time"
 
@@ -72,19 +70,18 @@ func (f *FaultsFixture) RunResync() error {
 	return nil
 }
 
+// Warm brings the fixture's logs to their steady-state high-water (see
+// warm). Benchmarks call it once, before the first Drive.
+func (f *FaultsFixture) Warm() error { return warm(f.store, f.RunWrite) }
+
+// DriveWrite is the full-blob overwrite benchmark body, healthy or with the
+// fixture's down node excluded from every write.
 func (f *FaultsFixture) DriveWrite(degraded bool) func(*testing.B) {
 	return func(b *testing.B) {
 		if degraded {
 			f.store.SetDown(f.down, true)
 		}
-		b.SetBytes(int64(len(f.buf)))
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := f.RunWrite(); err != nil {
-				b.Fatal(err)
-			}
-		}
+		DriveSerial(b, f.store, int64(len(f.buf)), f.RunWrite)
 		b.StopTimer()
 		if degraded {
 			// Rejoin outside the timer: SetDown(..., false) synchronously
@@ -95,15 +92,9 @@ func (f *FaultsFixture) DriveWrite(degraded bool) func(*testing.B) {
 	}
 }
 
+// DriveResync is the rejoin-resync benchmark body: one RunResync cycle per op.
 func (f *FaultsFixture) DriveResync(b *testing.B) {
-	b.SetBytes(int64(len(f.buf)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := f.RunResync(); err != nil {
-			b.Fatal(err)
-		}
-	}
+	DriveSerial(b, f.store, int64(len(f.buf)), f.RunResync)
 }
 
 // VirtualWriteCost measures the simulated per-op cost of a full-blob
@@ -137,110 +128,45 @@ func VirtualWriteCost(degraded bool, ops int) (time.Duration, error) {
 	return (ctx.Clock.Now() - start) / time.Duration(ops), nil
 }
 
-// RunFaults runs the failure-domain sweep via testing.Benchmark and returns
-// results for BENCH_faults.json: BenchmarkFaultWrite/{healthy,degraded}
-// (ns/op of a replicated vs degraded full-blob overwrite, with a
-// /virtual twin carrying the simulated per-op cost) and BenchmarkFaultResync
-// (MB/s of the rejoin repair path, measured over a full
-// down/write/rejoin/drain cycle).
-func RunFaults() ([]HotPathResult, error) {
+// runFaults measures BenchmarkFaultWrite/{healthy,degraded} (a replicated
+// vs degraded full-blob overwrite) and BenchmarkFaultResync (MB/s of the
+// rejoin repair path over a full down/write/rejoin/drain cycle), then the
+// /virtual twins of the write pair. The gate reads the twins: simulated
+// cost is a pure function of the code path, identical on every host, while
+// wall-clock ns/op on a contended box swings an order of magnitude between
+// runs and would make any wall-clock ratio bound flaky or vacuous.
+func runFaults() (Rows, error) {
 	f, err := NewFaultsFixture()
 	if err != nil {
 		return nil, err
 	}
-	var out []HotPathResult
-	var firstErr error
-	// Best-of-3: the healthy/degraded comparison gates a RATIO of two
-	// wall-clock measurements, so a scheduler hiccup during either one
-	// produces a spurious 2x. The minimum over repetitions is the standard
-	// noise-robust statistic for that — the fastest observed run is the one
-	// closest to the code's true cost.
-	record := func(name string, body func(*testing.B)) {
-		var best testing.BenchmarkResult
-		for rep := 0; rep < 3; rep++ {
-			r := testing.Benchmark(body)
-			if rep == 0 || (r.N > 0 && r.NsPerOp() < best.NsPerOp()) {
-				best = r
-			}
-		}
-		if best.N == 0 && firstErr == nil {
-			firstErr = fmt.Errorf("benchmark %s failed", name)
-		}
-		mbps := 0.0
-		if best.T > 0 {
-			mbps = float64(best.Bytes) * float64(best.N) / 1e6 / best.T.Seconds()
-		}
-		out = append(out, HotPathResult{
-			Name:        name,
-			NsPerOp:     best.NsPerOp(),
-			AllocsPerOp: best.AllocsPerOp(),
-			BytesPerOp:  best.AllocedBytesPerOp(),
-			MBPerSec:    mbps,
-		})
+	if err := f.Warm(); err != nil {
+		return nil, err
 	}
-	record("BenchmarkFaultWrite/healthy", f.DriveWrite(false))
-	record("BenchmarkFaultWrite/degraded", f.DriveWrite(true))
-	record("BenchmarkFaultResync", f.DriveResync)
-	// The deterministic twins: simulated per-op cost, each on its own fresh
-	// fixture. These are what CheckFaults gates — wall-clock above is the
-	// host-dependent FYI.
+	var rows Rows
+	for _, m := range []struct {
+		name string
+		body func(*testing.B)
+	}{
+		{"BenchmarkFaultWrite/healthy", f.DriveWrite(false)},
+		{"BenchmarkFaultWrite/degraded", f.DriveWrite(true)},
+		{"BenchmarkFaultResync", f.DriveResync},
+	} {
+		row, err := measure(m.name, 3, m.body)
+		if err != nil {
+			return nil, err
+		}
+		rows = append(rows, row)
+	}
 	for _, mode := range []struct {
 		name     string
 		degraded bool
 	}{{"healthy", false}, {"degraded", true}} {
-		v, err := VirtualWriteCost(mode.degraded, 8)
+		v, err := VirtualWriteCost(mode.degraded, virtualOps)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, HotPathResult{
-			Name:    "BenchmarkFaultWrite/" + mode.name + "/virtual",
-			NsPerOp: int64(v),
-		})
+		rows = append(rows, Row{Name: "BenchmarkFaultWrite/" + mode.name + "/virtual", NsPerOp: int64(v)})
 	}
-	return out, firstErr
-}
-
-// CheckFaults gates the degraded/healthy ratio of the VIRTUAL write cost
-// (the /virtual result pair). Degraded writes move FEWER bytes (a 28-byte
-// debt record per chunk replaces a full replica write) yet cost somewhat
-// MORE virtual time: the aggregate I/O that used to spread over R disks
-// lands on R-1, chunks whose primary is the down node pay a promotion, and
-// every included owner logs a debt record. At R=3 that works out to ~1.14x
-// today; the gate's default of 1.25 gives that physics deterministic
-// headroom while still catching the pathological regressions it exists
-// for — synchronous repair or a full catch-up sneaking into the degraded
-// write path, which shows up as 2x and worse.
-//
-// The gate deliberately reads the virtual twins, not the wall-clock
-// numbers: simulated cost is a pure function of the code path, identical on
-// every host, where wall-clock ns/op on a contended box swings an order of
-// magnitude between runs (both directions were observed) and would make any
-// wall-clock ratio bound either flaky or vacuous. Absent result pairs pass
-// vacuously, like the other baseline gates.
-func CheckFaults(results []HotPathResult, maxRatio float64) error {
-	if maxRatio <= 0 {
-		maxRatio = 1.25
-	}
-	var healthy, degraded *HotPathResult
-	for i := range results {
-		switch results[i].Name {
-		case "BenchmarkFaultWrite/healthy/virtual":
-			healthy = &results[i]
-		case "BenchmarkFaultWrite/degraded/virtual":
-			degraded = &results[i]
-		}
-	}
-	if healthy == nil || degraded == nil || healthy.NsPerOp <= 0 {
-		return nil
-	}
-	if ratio := float64(degraded.NsPerOp) / float64(healthy.NsPerOp); ratio > maxRatio {
-		return fmt.Errorf("bench: degraded writes regressed: virtual %d ns/op is %.3fx healthy %d ns/op (gate %.3fx)",
-			degraded.NsPerOp, ratio, healthy.NsPerOp, maxRatio)
-	}
-	return nil
-}
-
-// RenderFaults formats results as the JSON written to BENCH_faults.json.
-func RenderFaults(results []HotPathResult) ([]byte, error) {
-	return json.MarshalIndent(results, "", "  ")
+	return rows, nil
 }

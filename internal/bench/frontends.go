@@ -2,7 +2,6 @@ package bench
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -24,13 +23,16 @@ import (
 // paper's Section II over ONE blob data plane — the HPC path (an IOR-style
 // segmented shared-file pattern), the analytics path (a SparkBench-shaped
 // shuffle through sparksim), and the object path (an S3 put/get cycle
-// through the HTTP gateway) — and records wall-clock plus deterministic
-// virtual-time twins for each. The gated pair is the rename fast path:
-// blobfs routes Rename through blob.RenameBlob (server-side chunk rewrite
-// under both descriptor latches) when the store implements
+// through the HTTP gateway) — and records wall-clock plus virtual-time
+// twins for each. The IOR and shuffle twins vary from run to run: their
+// concurrent clients and executors book the simulated resources in arrival
+// order, which follows goroutine scheduling. The S3 twin (one sequential
+// client) and the rename pair repeat exactly. The gated pair is the rename
+// fast path: blobfs routes Rename through blob.RenameBlob (server-side
+// chunk rewrite under both descriptor latches) when the store implements
 // storage.BlobRenamer, falling back to the client-side copy loop
-// otherwise; CheckFrontends requires the fast path to actually beat the
-// copy on simulated cost.
+// otherwise; the gate requires the fast path to actually beat the copy on
+// simulated cost.
 
 func newFrontendStore() *blob.Store {
 	return blob.New(cluster.New(cluster.Config{Nodes: 5, Seed: 1}),
@@ -175,68 +177,15 @@ func VirtualRenameCost(fast bool, ops int) (time.Duration, error) {
 	return (ctx.Clock.Now() - start) / time.Duration(ops), nil
 }
 
-// RunFrontends runs the converged-front-end sweep for BENCH_frontends.json:
-// wall-clock results for the IOR pattern, the Sort shuffle, and the S3
-// put/get cycle, each with a deterministic /virtual twin, plus the gated
-// rename fast-path/copy pair.
-func RunFrontends() ([]HotPathResult, error) {
-	var out []HotPathResult
-	var firstErr error
-	// Best-of-3 for the wall-clock numbers, same rationale as RunFaults:
-	// the minimum over repetitions is the noise-robust statistic.
-	record := func(name string, body func(*testing.B)) {
-		var best testing.BenchmarkResult
-		for rep := 0; rep < 3; rep++ {
-			r := testing.Benchmark(body)
-			if rep == 0 || (r.N > 0 && r.NsPerOp() < best.NsPerOp()) {
-				best = r
-			}
-		}
-		if best.N == 0 && firstErr == nil {
-			firstErr = fmt.Errorf("benchmark %s failed", name)
-		}
-		mbps := 0.0
-		if best.T > 0 {
-			mbps = float64(best.Bytes) * float64(best.N) / 1e6 / best.T.Seconds()
-		}
-		out = append(out, HotPathResult{
-			Name:        name,
-			NsPerOp:     best.NsPerOp(),
-			AllocsPerOp: best.AllocsPerOp(),
-			BytesPerOp:  best.AllocedBytesPerOp(),
-			MBPerSec:    mbps,
-		})
-	}
-
+// runFrontends measures the IOR pattern, the Sort shuffle, and the S3
+// put/get cycle, then their /virtual twins and the gated rename pair.
+func runFrontends() (Rows, error) {
 	// HPC front end: the segmented shared-file pattern, one mount reused
 	// across iterations (steady-state overwrite, like the paper's runs).
-	iorFS := blobfs.New(newFrontendStore())
+	iorStore := newFrontendStore()
+	iorFS := blobfs.New(iorStore)
 	p := iorParams()
 	iorBytes := int64(p.Clients) * int64(p.BlockSize) * int64(p.Segments) * 2 // write + read
-	record("BenchmarkFrontendIOR", func(b *testing.B) {
-		b.SetBytes(iorBytes)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := RunIORCycle(iorFS); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-
-	// Analytics front end: full provision+run cycle on a fresh mount per
-	// iteration (Spark jobs are one-shot; staging dirs are torn down by
-	// the committer, inputs are not).
-	record("BenchmarkFrontendShuffle", func(b *testing.B) {
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := RunShuffleCycle(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-
 	// Object front end: put/get cycle over HTTP against one gateway.
 	s3Store := newFrontendStore()
 	srv := httptest.NewServer(s3gw.New(s3Store))
@@ -245,23 +194,33 @@ func RunFrontends() ([]HotPathResult, error) {
 	for i := range payload {
 		payload[i] = byte(i * 13)
 	}
-	record("BenchmarkFrontendS3", func(b *testing.B) {
-		b.SetBytes(int64(s3Objects) * s3ObjSize * 2)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := runS3Cycle(srv.URL, payload); err != nil {
-				b.Fatal(err)
-			}
+	var rows Rows
+	for _, m := range []struct {
+		name  string
+		store *blob.Store
+		bytes int64
+		cycle func() error
+	}{
+		{"BenchmarkFrontendIOR", iorStore, iorBytes, func() error { _, err := RunIORCycle(iorFS); return err }},
+		// Analytics front end: full provision+run cycle on a fresh mount
+		// per iteration (Spark jobs are one-shot; staging dirs are torn
+		// down by the committer, inputs are not).
+		{"BenchmarkFrontendShuffle", nil, 0, func() error { _, err := RunShuffleCycle(); return err }},
+		{"BenchmarkFrontendS3", s3Store, int64(s3Objects) * s3ObjSize * 2, func() error { return runS3Cycle(srv.URL, payload) }},
+	} {
+		row, err := measure(m.name, 3, func(b *testing.B) { DriveSerial(b, m.store, m.bytes, m.cycle) })
+		if err != nil {
+			return nil, err
 		}
-	})
+		rows = append(rows, row)
+	}
 
-	// Deterministic virtual twins, each on a fresh fixture.
+	// Virtual twins, each on a fresh fixture.
 	iorTwin, err := RunIORCycle(blobfs.New(newFrontendStore()))
 	if err != nil {
 		return nil, fmt.Errorf("bench: ior twin: %w", err)
 	}
-	out = append(out, HotPathResult{
+	rows = append(rows, Row{
 		Name:     "BenchmarkFrontendIOR/virtual",
 		NsPerOp:  int64(iorTwin.WriteTime + iorTwin.ReadTime),
 		MBPerSec: iorTwin.WriteMBps,
@@ -270,77 +229,25 @@ func RunFrontends() ([]HotPathResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("bench: shuffle twin: %w", err)
 	}
-	out = append(out, HotPathResult{
-		Name:    "BenchmarkFrontendShuffle/virtual",
-		NsPerOp: int64(shuffleCtx.Clock.Now()),
-	})
+	rows = append(rows, Row{Name: "BenchmarkFrontendShuffle/virtual", NsPerOp: int64(shuffleCtx.Clock.Now())})
 	s3Gateway := s3gw.New(newFrontendStore())
 	s3TwinSrv := httptest.NewServer(s3Gateway)
-	if err := runS3Cycle(s3TwinSrv.URL, payload); err != nil {
-		s3TwinSrv.Close()
+	err = runS3Cycle(s3TwinSrv.URL, payload)
+	s3TwinSrv.Close()
+	if err != nil {
 		return nil, fmt.Errorf("bench: s3 twin: %w", err)
 	}
-	s3TwinSrv.Close()
-	out = append(out, HotPathResult{
-		Name:    "BenchmarkFrontendS3/virtual",
-		NsPerOp: int64(s3Gateway.TotalVirtualTime()) / (s3Objects * 2),
-	})
+	rows = append(rows, Row{Name: "BenchmarkFrontendS3/virtual", NsPerOp: int64(s3Gateway.TotalVirtualTime()) / (s3Objects * 2)})
 
-	// The gated pair: server-side rename vs client-side copy loop.
 	for _, mode := range []struct {
 		name string
 		fast bool
 	}{{"fastpath", true}, {"copy", false}} {
-		v, err := VirtualRenameCost(mode.fast, 8)
+		v, err := VirtualRenameCost(mode.fast, virtualOps)
 		if err != nil {
 			return nil, fmt.Errorf("bench: rename %s: %w", mode.name, err)
 		}
-		out = append(out, HotPathResult{
-			Name:    "BenchmarkFrontendRename/" + mode.name + "/virtual",
-			NsPerOp: int64(v),
-		})
+		rows = append(rows, Row{Name: "BenchmarkFrontendRename/" + mode.name + "/virtual", NsPerOp: int64(v)})
 	}
-	return out, firstErr
-}
-
-// CheckFrontends gates the rename fast path on its virtual twins: routing
-// blobfs.Rename through blob.RenameBlob must cost at most maxRatio of the
-// client-side copy loop it replaced. Both paths pay the same irreducible
-// disk work — R replica writes plus WAL appends per chunk, and the source
-// chunk reads — so on the HDD-class default cost model the fast path's
-// whole honest saving is the client wire legs, the per-chunk read-response
-// RPCs, and the 2PC prepare/commit rounds its latched direct commit skips:
-// about 6% of a 1 MiB rename. The default gate of 0.95 sits between that
-// deterministic floor (~0.94) and parity; the failure mode it exists to
-// catch — the BlobRenamer routing silently disengaging — reads ≈1.0 and
-// fails it outright. Like the other baseline gates, the check reads only
-// deterministic simulated costs and passes vacuously when either result
-// is absent.
-func CheckFrontends(results []HotPathResult, maxRatio float64) error {
-	if maxRatio <= 0 {
-		maxRatio = 0.95
-	}
-	var fast, copyLoop *HotPathResult
-	for i := range results {
-		switch results[i].Name {
-		case "BenchmarkFrontendRename/fastpath/virtual":
-			fast = &results[i]
-		case "BenchmarkFrontendRename/copy/virtual":
-			copyLoop = &results[i]
-		}
-	}
-	if fast == nil || copyLoop == nil || copyLoop.NsPerOp <= 0 {
-		return nil
-	}
-	if ratio := float64(fast.NsPerOp) / float64(copyLoop.NsPerOp); ratio > maxRatio {
-		return fmt.Errorf("bench: rename fast path regressed: virtual %d ns/op is %.3fx the copy loop's %d ns/op (gate %.3fx)",
-			fast.NsPerOp, ratio, copyLoop.NsPerOp, maxRatio)
-	}
-	return nil
-}
-
-// RenderFrontends formats results as the JSON written to
-// BENCH_frontends.json.
-func RenderFrontends(results []HotPathResult) ([]byte, error) {
-	return json.MarshalIndent(results, "", "  ")
+	return rows, nil
 }

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"runtime"
 	"sync"
@@ -106,14 +105,11 @@ func NewHotPathParallelLanes(clients, lanes int) (*HotPath, error) {
 	return h, nil
 }
 
-// Clients reports the parallel fixture's client count.
-func (h *HotPath) Clients() int { return len(h.clients) }
-
 // WriteParallel performs ops write operations split round-robin across the
 // per-client blobs, each client driving its share from its own goroutine
 // against its own key, context, and buffer. It returns the first error.
-// Callers interleave WriteParallel batches with Compact the way the serial
-// write benchmarks do, so the in-memory logs stay bounded.
+// Callers interleave WriteParallel batches with checkpoints the way
+// DriveSerial does, so the in-memory logs stay bounded.
 func (h *HotPath) WriteParallel(ops int) error {
 	if len(h.clients) == 0 {
 		return fmt.Errorf("hotpath: fixture built without clients")
@@ -151,14 +147,10 @@ func (h *HotPath) WriteParallel(ops int) error {
 	return nil
 }
 
-// CompactEvery is how many write ops a benchmark runs between WAL
-// checkpoints (HotPath.Compact).
-const CompactEvery = 256
-
-// DriveParallelWrites is the standard contended-write benchmark body over
-// a parallel fixture: batches of CompactEvery writes split across the
-// clients, alternating with out-of-timer compaction like the serial write
-// benchmarks. It is the single definition of that protocol — the root
+// DriveParallelWrites is the contended-write benchmark body over a
+// parallel fixture: batches of CompactEvery writes split across the
+// clients, alternating with out-of-timer checkpoints like DriveSerial. It
+// is the single definition of that protocol — the root
 // BenchmarkHotPathWriteParallel* benchmarks and the benchsuite lane sweep
 // all run it, so the serial-vs-parallel and lane-vs-lane comparisons can
 // never diverge in cadence.
@@ -176,47 +168,24 @@ func (h *HotPath) DriveParallelWrites(b *testing.B) {
 		}
 		done += n
 		b.StopTimer()
-		h.Compact()
+		h.Store.CheckpointAll()
 		b.StartTimer()
 	}
 }
 
-// Warm drives a double compaction window of serial writes and compacts, so
-// every server's slab-backed log reaches its steady-state high-water (the
-// slabs parked on the free list by the final Compact) before measurement
-// begins. Without it, whether the one-time first-window medium fill lands
-// inside the measured trial depends on testing.Benchmark's ramp timing —
-// B/op would flip between ~0 and the fill cost run to run. The window is
-// doubled because a fixture shared across trials (benchsuite) sees
-// un-compacted stretches of up to 2*CompactEvery-2 ops: a trial's leftover
-// tail plus the next trial's ops before its first compaction. Write
-// benchmarks call it before the timer starts.
-func (h *HotPath) Warm() error {
-	for i := 0; i < 2*CompactEvery; i++ {
-		if err := h.Write(); err != nil {
-			return err
-		}
-	}
-	h.Compact()
-	return nil
-}
+// Warm brings the write path's logs to their steady-state high-water (see
+// warm). Write benchmarks call it before the timer starts.
+func (h *HotPath) Warm() error { return warm(h.Store, h.Write) }
 
 // WarmParallel is Warm for the multi-client fixture: a double benchmark
-// batch of parallel writes, then a compaction.
+// batch of parallel writes, then a checkpoint.
 func (h *HotPath) WarmParallel() error {
 	if err := h.WriteParallel(2 * CompactEvery); err != nil {
 		return err
 	}
-	h.Compact()
+	h.Store.CheckpointAll()
 	return nil
 }
-
-// Compact checkpoints every server's WAL, dropping the accumulated log
-// bytes. Write benchmarks call it with the timer stopped every
-// CompactEvery iterations so the measured loop reflects per-op dispatch
-// cost instead of unbounded in-memory log growth (which would otherwise
-// dominate B/op and drift with -benchtime).
-func (h *HotPath) Compact() { h.Store.CheckpointAll() }
 
 // Read performs one 4-chunk striped read.
 func (h *HotPath) Read() error {
@@ -243,183 +212,47 @@ func (h *HotPath) Write() error {
 	return nil
 }
 
-// HotPathResult is one benchmark's measurement, serialized by the
-// benchsuite `benchcheck` target into BENCH_hotpath.json so successive PRs
-// have a perf trajectory to compare against.
-type HotPathResult struct {
-	Name        string  `json:"name"`
-	NsPerOp     int64   `json:"ns_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-	BytesPerOp  int64   `json:"alloc_bytes_per_op"`
-	MBPerSec    float64 `json:"mb_per_sec"`
-}
-
-// RunHotPath runs both hot-path benchmarks via testing.Benchmark (so the
-// numbers match `go test -bench HotPath -benchmem`) and returns the results.
-func RunHotPath() ([]HotPathResult, error) {
+// runHotPath measures the serial read and write and the contended parallel
+// write, the latter at the default lane count and at 1 (the pre-sharding
+// layout) and 4 lanes, so the trajectory shows what the lanes buy on this
+// host. Parallel ns/op counts individual writes, so the parallel/serial
+// ns/op ratio is the aggregate write speed-up under contention.
+func runHotPath() (Rows, error) {
 	h, err := NewHotPath()
 	if err != nil {
 		return nil, err
 	}
-	var firstErr error
-	run := func(name string, body func(b *testing.B)) HotPathResult {
-		r := testing.Benchmark(body)
-		if r.N == 0 && firstErr == nil {
-			firstErr = fmt.Errorf("benchmark %s failed", name)
-		}
-		mbps := 0.0
-		if r.T > 0 {
-			mbps = float64(r.Bytes) * float64(r.N) / 1e6 / r.T.Seconds()
-		}
-		return HotPathResult{
-			Name:        name,
-			NsPerOp:     r.NsPerOp(),
-			AllocsPerOp: r.AllocsPerOp(),
-			BytesPerOp:  r.AllocedBytesPerOp(),
-			MBPerSec:    mbps,
-		}
-	}
 	if err := h.Warm(); err != nil {
 		return nil, err
 	}
-	serial := func(op func() error) func(b *testing.B) {
-		return func(b *testing.B) {
-			b.SetBytes(h.OpBytes())
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if i%CompactEvery == CompactEvery-1 {
-					b.StopTimer()
-					h.Compact()
-					b.StartTimer()
-				}
-				if err := op(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	}
-	out := []HotPathResult{
-		run("BenchmarkHotPathRead", serial(h.Read)),
-		run("BenchmarkHotPathWrite", serial(h.Write)),
-	}
-
-	// Multi-client write scaling: per-client keys, shared servers. ns/op
-	// counts individual writes, so the serial/parallel ns_per_op ratio is
-	// the aggregate write speedup under contention.
-	runParallel := func(name string, lanes int) error {
-		hp, err := NewHotPathParallelLanes(0, lanes)
+	var rows Rows
+	for _, s := range []struct {
+		name string
+		op   func() error
+	}{{"BenchmarkHotPathRead", h.Read}, {"BenchmarkHotPathWrite", h.Write}} {
+		row, err := measure(s.name, 1, func(b *testing.B) { DriveSerial(b, h.Store, h.OpBytes(), s.op) })
 		if err != nil {
-			return err
-		}
-		if err := hp.WarmParallel(); err != nil {
-			return err
-		}
-		out = append(out, run(name, hp.DriveParallelWrites))
-		return nil
-	}
-	if err := runParallel("BenchmarkHotPathWriteParallel", 0); err != nil {
-		return nil, err
-	}
-	// Lane-count sweep: the same contended-writer shape against a single
-	// log lane (the pre-sharding layout) and an intermediate count, so the
-	// recorded trajectory shows what the lanes buy on this host.
-	for _, lanes := range []int{1, 4} {
-		if err := runParallel(fmt.Sprintf("BenchmarkHotPathWriteParallel/lanes=%d", lanes), lanes); err != nil {
 			return nil, err
 		}
+		rows = append(rows, row)
 	}
-	return out, firstErr
-}
-
-// CheckWriteScaling gates the parallel/serial write ratio: with the WAL
-// lanes in place, concurrent writers must actually outrun one client —
-// BenchmarkHotPathWriteParallel ns/op at most maxRatio of
-// BenchmarkHotPathWrite ns/op. maxRatio <= 0 selects a hardware-aware
-// default: the hot-path write op is dominated by irreducible byte work
-// (chunk memmove + CRC), so the achievable speedup is bounded by real
-// cores, not by lock contention alone —
-//
-//	>= 4 procs: 0.75 (the acceptance bar: >= 25% faster than serial)
-//	2-3 procs:  0.90
-//	1 proc:     1.00 (no parallel hardware: contended writes must at
-//	            least match serial — the pre-sharding behavior this gate
-//	            exists to catch was 1.09-1.26x serial, so flat-or-better
-//	            still separates lanes-working from lanes-broken here)
-//
-// Benchmarks absent from results are not gated, so older callers without
-// the parallel benchmark pass vacuously.
-func CheckWriteScaling(results []HotPathResult, maxRatio float64) error {
-	if maxRatio <= 0 {
-		switch procs := runtime.GOMAXPROCS(0); {
-		case procs >= 4:
-			maxRatio = 0.75
-		case procs >= 2:
-			maxRatio = 0.90
-		default:
-			maxRatio = 1.00
+	for _, lanes := range []int{0, 1, 4} {
+		name := "BenchmarkHotPathWriteParallel"
+		if lanes > 0 {
+			name += fmt.Sprintf("/lanes=%d", lanes)
 		}
-	}
-	var serial, parallel *HotPathResult
-	for i := range results {
-		switch results[i].Name {
-		case "BenchmarkHotPathWrite":
-			serial = &results[i]
-		case "BenchmarkHotPathWriteParallel":
-			parallel = &results[i]
+		hp, err := NewHotPathParallelLanes(0, lanes)
+		if err != nil {
+			return nil, err
 		}
-	}
-	if serial == nil || parallel == nil || serial.NsPerOp <= 0 {
-		return nil
-	}
-	if ratio := float64(parallel.NsPerOp) / float64(serial.NsPerOp); ratio > maxRatio {
-		return fmt.Errorf("bench: parallel writes do not scale: %s %d ns/op is %.2fx serial %d ns/op (gate %.2fx at GOMAXPROCS=%d)",
-			parallel.Name, parallel.NsPerOp, ratio, serial.NsPerOp, maxRatio, runtime.GOMAXPROCS(0))
-	}
-	return nil
-}
-
-// CheckHotPathBaseline compares fresh results against the raw JSON of a
-// committed BENCH_hotpath.json (read by the caller before the results
-// overwrite it) and returns an error if the write path's allocation volume
-// regressed: alloc_bytes_per_op (or allocs_per_op) of BenchmarkHotPathWrite
-// above the committed value — beyond a small noise floor, since GC-driven
-// sync.Pool evictions during a run can surface a handful of refill
-// allocations against a zero baseline — fails the gate. A real regression
-// (un-pooled staging, per-record escapes) costs hundreds of bytes per op
-// and clears the floor by orders of magnitude. Benchmarks present on only
-// one side are ignored, so adding a benchmark does not break the gate
-// against an older baseline.
-func CheckHotPathBaseline(results []HotPathResult, raw []byte) error {
-	var baseline []HotPathResult
-	if err := json.Unmarshal(raw, &baseline); err != nil {
-		return fmt.Errorf("bench: parse baseline: %w", err)
-	}
-	byName := make(map[string]HotPathResult, len(baseline))
-	for _, r := range baseline {
-		byName[r.Name] = r
-	}
-	for _, r := range results {
-		if r.Name != "BenchmarkHotPathWrite" {
-			continue
+		if err := hp.WarmParallel(); err != nil {
+			return nil, err
 		}
-		old, ok := byName[r.Name]
-		if !ok {
-			continue
+		row, err := measure(name, 1, hp.DriveParallelWrites)
+		if err != nil {
+			return nil, err
 		}
-		if limit := old.BytesPerOp + max(old.BytesPerOp/8, 64); r.BytesPerOp > limit {
-			return fmt.Errorf("bench: %s alloc_bytes_per_op regressed: %d > baseline %d (+noise floor %d)",
-				r.Name, r.BytesPerOp, old.BytesPerOp, limit)
-		}
-		if limit := old.AllocsPerOp + max(old.AllocsPerOp/8, 2); r.AllocsPerOp > limit {
-			return fmt.Errorf("bench: %s allocs_per_op regressed: %d > baseline %d (+noise floor %d)",
-				r.Name, r.AllocsPerOp, old.AllocsPerOp, limit)
-		}
+		rows = append(rows, row)
 	}
-	return nil
-}
-
-// RenderHotPath formats results as the JSON written to BENCH_hotpath.json.
-func RenderHotPath(results []HotPathResult) ([]byte, error) {
-	return json.MarshalIndent(results, "", "  ")
+	return rows, nil
 }

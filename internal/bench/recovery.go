@@ -1,9 +1,7 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"runtime"
 	"testing"
 
 	"repro/internal/blob"
@@ -81,22 +79,14 @@ func (f *RecoveryFixture) Drive(b *testing.B) {
 	}
 }
 
-// recoverySweepSizes are the cold-store sizes (blob count; each blob adds
-// ~768 KiB of replicated chunk log per cluster) the benchsuite records.
-var recoverySweepSizes = []int{8, 32}
-
-// recoverySweepLanes is the lane sweep mirrored from BENCH_hotpath.json.
-var recoverySweepLanes = []int{1, 4, 16}
-
-// RunRecovery runs the serial-vs-parallel recovery sweep via
-// testing.Benchmark (numbers match `go test -bench Recover -benchmem`) and
-// returns the results for BENCH_recovery.json. Result names encode the
-// parameters: BenchmarkRecover/<mode>/lanes=<n>/blobs=<m>.
-func RunRecovery() ([]HotPathResult, error) {
-	var out []HotPathResult
-	var firstErr error
-	for _, blobs := range recoverySweepSizes {
-		for _, lanes := range recoverySweepLanes {
+// runRecovery runs the serial-vs-parallel recovery sweep across WAL lane
+// counts and cold-store sizes (each blob adds ~768 KiB of replicated chunk
+// log per cluster). Row names encode the parameters:
+// BenchmarkRecover/<mode>/lanes=<n>/blobs=<m>.
+func runRecovery() (Rows, error) {
+	var rows Rows
+	for _, blobs := range []int{8, 32} {
+		for _, lanes := range []int{1, 4, 16} {
 			for _, mode := range []struct {
 				name   string
 				serial bool
@@ -105,80 +95,13 @@ func RunRecovery() ([]HotPathResult, error) {
 				if err != nil {
 					return nil, err
 				}
-				name := fmt.Sprintf("BenchmarkRecover/%s/lanes=%d/blobs=%d", mode.name, lanes, blobs)
-				r := testing.Benchmark(f.Drive)
-				if r.N == 0 && firstErr == nil {
-					firstErr = fmt.Errorf("benchmark %s failed", name)
+				row, err := measure(fmt.Sprintf("BenchmarkRecover/%s/lanes=%d/blobs=%d", mode.name, lanes, blobs), 1, f.Drive)
+				if err != nil {
+					return nil, err
 				}
-				mbps := 0.0
-				if r.T > 0 {
-					mbps = float64(r.Bytes) * float64(r.N) / 1e6 / r.T.Seconds()
-				}
-				out = append(out, HotPathResult{
-					Name:        name,
-					NsPerOp:     r.NsPerOp(),
-					AllocsPerOp: r.AllocsPerOp(),
-					BytesPerOp:  r.AllocedBytesPerOp(),
-					MBPerSec:    mbps,
-				})
+				rows = append(rows, row)
 			}
 		}
 	}
-	return out, firstErr
-}
-
-// CheckRecoveryScaling gates the parallel/serial recovery ratio, the
-// recovery twin of CheckWriteScaling: at the largest recorded lane count
-// and cold-store size, the parallel lane-decode pipeline
-// must recover in at most maxRatio of the serial oracle's ns/op.
-// maxRatio <= 0 selects a hardware-aware default — recovery is dominated
-// by per-record CRC + copy work that parallelizes across lanes, but only
-// real cores can run lanes concurrently:
-//
-//	>= 4 procs: 0.75 (the acceptance bar: >= 25% faster than serial)
-//	2-3 procs:  0.90
-//	1 proc:     1.15 (no parallel hardware: the pipeline's staging can
-//	            only add overhead here; the gate bounds that overhead so
-//	            the parallel path never quietly becomes a regression on
-//	            single-core hosts)
-//
-// Pairs absent from results are not gated, so older or partial result
-// sets pass vacuously.
-func CheckRecoveryScaling(results []HotPathResult, maxRatio float64) error {
-	if maxRatio <= 0 {
-		switch procs := runtime.GOMAXPROCS(0); {
-		case procs >= 4:
-			maxRatio = 0.75
-		case procs >= 2:
-			maxRatio = 0.90
-		default:
-			maxRatio = 1.15
-		}
-	}
-	blobs := recoverySweepSizes[len(recoverySweepSizes)-1]
-	lanes := recoverySweepLanes[len(recoverySweepLanes)-1]
-	serialName := fmt.Sprintf("BenchmarkRecover/serial/lanes=%d/blobs=%d", lanes, blobs)
-	parallelName := fmt.Sprintf("BenchmarkRecover/parallel/lanes=%d/blobs=%d", lanes, blobs)
-	var serial, parallel *HotPathResult
-	for i := range results {
-		switch results[i].Name {
-		case serialName:
-			serial = &results[i]
-		case parallelName:
-			parallel = &results[i]
-		}
-	}
-	if serial == nil || parallel == nil || serial.NsPerOp <= 0 {
-		return nil
-	}
-	if ratio := float64(parallel.NsPerOp) / float64(serial.NsPerOp); ratio > maxRatio {
-		return fmt.Errorf("bench: parallel recovery does not scale: %s %d ns/op is %.2fx serial %d ns/op (gate %.2fx at GOMAXPROCS=%d)",
-			parallel.Name, parallel.NsPerOp, ratio, serial.NsPerOp, maxRatio, runtime.GOMAXPROCS(0))
-	}
-	return nil
-}
-
-// RenderRecovery formats results as the JSON written to BENCH_recovery.json.
-func RenderRecovery(results []HotPathResult) ([]byte, error) {
-	return json.MarshalIndent(results, "", "  ")
+	return rows, nil
 }

@@ -436,8 +436,8 @@ type fanTask struct {
 	rec    wal.RecordType
 	key    string
 	desc   *descriptor // taskDescReplicate: the primary's object, to skip pointer-shared stores
-	lane   int  // taskWalFlush: the target log lane of the spec batch
-	meta   bool // taskWalFlush: charge one round trip per record; taskDescReplicate: upsert
+	lane   int         // taskWalFlush: the target log lane of the spec batch
+	meta   bool        // taskWalFlush: charge one round trip per record; taskDescReplicate: upsert
 	specs  []wal.AppendVSpec
 	fn     func(cg *charge) error
 }

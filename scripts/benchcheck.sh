@@ -42,47 +42,19 @@
 # (checkpoint lane jobs, concurrent clock joins), and a single run on one
 # CPU count can hide them.
 #
-# The hot-path, recovery, and faults micro-benchmarks then run with
-# allocation accounting and the results (including the WAL lane-count
-# sweeps) land in BENCH_hotpath.json, BENCH_recovery.json, and
-# BENCH_faults.json, giving future PRs a perf trajectory to compare
-# against. Four gates guard the committed numbers, each evaluated BEFORE
-# its file is overwritten: the committed BENCH_hotpath.json is the
-# allocation-regression baseline (write-path alloc_bytes_per_op /
-# allocs_per_op must not grow), the parallel/serial write ns-per-op ratio
-# must stay under a GOMAXPROCS-aware bound (bench.CheckWriteScaling), the
-# parallel/serial crash-recovery ratio must stay under its own
-# GOMAXPROCS-aware bound (bench.CheckRecoveryScaling) so the parallel
-# lane-decode pipeline keeps beating — or at minimum never quietly
-# regresses against — the single-threaded recovery oracle, and the
-# degraded/healthy write cost ratio must stay under a deterministic
-# virtual-cost bound (bench.CheckFaults) so losing a replica never makes
-# the write path do pathological extra work.
+# The hot-path, recovery, and faults micro-benchmarks then run under
+# `go test -bench` with allocation accounting, and scripts/examples.sh
+# smoke-runs every example program so the documented entry points cannot
+# rot unnoticed. Last, every benchsuite experiment runs: the paper's tables
+# and figures, each gated on the paper's claim, and the benchmark
+# experiments that record BENCH_<name>.json. `go run ./cmd/benchsuite
+# -list` names them and prints every gate with its bound; each gate must
+# pass before its file is overwritten, so a regression never replaces the
+# committed numbers it is checked against.
 #
-# The frontends experiment then measures the converged claim end-to-end
-# (IOR-style HPC pattern, sparksim shuffle, s3gw put/get) into
-# BENCH_frontends.json, gated on the rename fastpath/copy virtual ratio
-# (bench.CheckFrontends) before the file is overwritten, and
-# scripts/examples.sh smoke-runs every example program so the documented
-# entry points cannot rot unnoticed.
-#
-# The rebalance experiment measures what elasticity costs the foreground —
-# p99 of a mixed read / 2PC-write workload during a live node join and
-# drain vs quiesced — into BENCH_rebalance.json, gated on the
-# during-migration/quiesced virtual p99 ratio (bench.CheckRebalance)
-# before the file is overwritten. Its crash-safety side is covered above:
-# the -race suite includes the migration batch-boundary crash sweeps and
-# the chaos battery's membership actor, and the fuzz loop picks up
-# FuzzRebalanceCrash with the other blob fuzz targets.
-#
-# Usage: scripts/benchcheck.sh [hotpath-output-file] [recovery-output-file] [faults-output-file] [frontends-output-file] [rebalance-output-file]
+# Usage: scripts/benchcheck.sh
 set -e
 cd "$(dirname "$0")/.."
-out="${1:-BENCH_hotpath.json}"
-rout="${2:-BENCH_recovery.json}"
-fout="${3:-BENCH_faults.json}"
-feout="${4:-BENCH_frontends.json}"
-reout="${5:-BENCH_rebalance.json}"
 go run ./cmd/blobvet ./...
 go vet ./...
 go test -race -shuffle=on ./internal/blob/... ./internal/sim/... ./internal/cluster/... ./internal/wal/... ./internal/core/... ./internal/storage/... ./internal/kvstore/... \
@@ -96,8 +68,6 @@ for pkg in ./internal/wal ./internal/blob ./internal/fstest; do
 done
 scripts/examples.sh
 go test -run '^$' -bench 'HotPath|Recover|Fault' -benchmem -benchtime=1s .
-go run ./cmd/benchsuite -exp hotpath -hotpath-out "$out" -hotpath-baseline BENCH_hotpath.json
-go run ./cmd/benchsuite -exp recovery -recovery-out "$rout"
-go run ./cmd/benchsuite -exp faults -faults-out "$fout"
-go run ./cmd/benchsuite -exp frontends -frontends-out "$feout"
-go run ./cmd/benchsuite -exp rebalance -rebalance-out "$reout"
+for exp in $(go run ./cmd/benchsuite -list | awk '/^[^\t]/ {print $1}'); do
+	go run ./cmd/benchsuite -exp "$exp"
+done
